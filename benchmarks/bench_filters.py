@@ -5,8 +5,8 @@ Complements ``bench_engines.py`` (which measures end-to-end engine
 matching on the bundled synthetic lists): this file isolates the parse
 stage, the ``$domain=`` longest-match resolution the engine leans on
 per request, and — the headline — ns/match of the compiled index
-against the interpreted engine and a replica of the pre-compiled-index
-sharding at 10k/50k/100k rules. ``BENCH_FILTERS.json`` records the
+against a replica of the pre-compiled-index sharding at 10k/50k/100k
+rules. ``BENCH_FILTERS.json`` records the
 scale table; the 50k compiled-vs-legacy speedup is asserted >= 10x and
 history-gated by ``repro perf check``.
 """
@@ -17,7 +17,6 @@ from time import perf_counter
 from conftest import BENCH_CONFIG, write_bench_json
 
 from repro.filters.compiled import CompiledFilterEngine
-from repro.filters.engine import FilterEngine
 from repro.filters.parser import parse_filter_line, parse_filter_list
 from repro.net.domains import is_third_party
 from repro.net.http import ResourceType
@@ -94,7 +93,7 @@ def test_engine_build_from_parsed_lists(benchmark, bench_web):
                           build_easyprivacy_text(bench_web.registry)),
     ]
 
-    engine = benchmark(lambda: FilterEngine(lists))
+    engine = benchmark(lambda: CompiledFilterEngine(lists))
     assert engine.would_block(
         "https://securepubads.doubleclick.net/ads/tag.js",
         ResourceType.SCRIPT,
@@ -170,8 +169,8 @@ def _ns_per_match(engine, corpus, reps):
 
 
 def test_list_scale_matching():
-    """The tentpole numbers: compiled vs interpreted vs legacy ns/match
-    at calibrated-EasyList scale, with the 50k speedup floor."""
+    """The tentpole numbers: compiled vs legacy ns/match at
+    calibrated-EasyList scale, with the 50k speedup floor."""
     smoke = BENCH_CONFIG.name == "bench-smoke"
     scales = [10_000, 50_000] if smoke else [10_000, 50_000, 100_000]
     corpus_size, reps = (300, 4) if smoke else (400, 5)
@@ -189,12 +188,6 @@ def test_list_scale_matching():
                 _LegacyIndexEngine(lists), corpus, reps
             ),
         }
-        # The interpreted engine is linear in the rule count; one scale
-        # is enough to place it in the table without dominating runtime.
-        if rule_count == 10_000:
-            row["interpreted_match_ns"] = _ns_per_match(
-                FilterEngine(lists), corpus, reps
-            )
         if rule_count == 50_000:
             speedup_50k = row["legacy_match_ns"] / row["compiled_match_ns"]
         table[f"{rule_count // 1000}k"] = row

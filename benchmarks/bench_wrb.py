@@ -15,7 +15,7 @@ from repro.browser import Browser
 from repro.crawler.crawler import CrawlConfig, Crawler
 from repro.extension.adblocker import AdBlockerExtension
 from repro.extension.workaround import WebSocketWrapperWorkaround
-from repro.filters import FilterEngine, parse_filter_list
+from repro.filters import CompiledFilterEngine, parse_filter_list
 from repro.web.filterlists import build_easyprivacy_text
 
 
@@ -42,7 +42,7 @@ def _run(web, sites, version, engine_text=None, ws_aware=True,
 
     def installer(browser: Browser):
         if engine_text is not None:
-            engine = FilterEngine([parse_filter_list("lists", engine_text)])
+            engine = CompiledFilterEngine([parse_filter_list("lists", engine_text)])
             if wrapper:
                 # The uBO-Extra mitigation: a page-level WebSocket
                 # wrapper the WRB cannot hide from.

@@ -68,8 +68,8 @@ def write_bench_json(name: str, payload: dict) -> Path:
     emission format stays uniform (sorted keys, two-space indent,
     trailing newline — diff-friendly when committed) and every payload
     carries provenance: the git sha and a canonical hardware
-    fingerprint. Each numeric leaf is also appended to the history
-    JSONL that ``repro perf check`` gates.
+    fingerprint. Each numeric leaf with perf semantics is also appended
+    to the history JSONL that ``repro perf check`` gates.
     """
     stamped = {
         **payload,

@@ -11,7 +11,6 @@ Run:  python examples/quickstart.py
 from repro.browser import Browser
 from repro.cdp import EventBus
 from repro.inclusion import InclusionTreeBuilder
-from repro.inclusion.node import NodeKind
 from repro.web.server import SyntheticWeb, WebScale
 
 WRB_TIMELINE = """

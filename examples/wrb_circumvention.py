@@ -14,7 +14,7 @@ Run:  python examples/wrb_circumvention.py
 
 from repro.browser import Browser
 from repro.extension.adblocker import AdBlockerExtension
-from repro.filters import FilterEngine, parse_filter_list
+from repro.filters import CompiledFilterEngine, parse_filter_list
 from repro.net.http import ResourceType
 from repro.web.blueprint import PageBlueprint, ResourceNode, SocketPlan
 
@@ -50,7 +50,7 @@ def load(version: int, with_blocker: bool, websocket_aware: bool = True):
     browser = Browser(version=version)
     blocker = None
     if with_blocker:
-        engine = FilterEngine([parse_filter_list("easylist", FILTER_LIST)])
+        engine = CompiledFilterEngine([parse_filter_list("easylist", FILTER_LIST)])
         blocker = AdBlockerExtension(engine, websocket_aware=websocket_aware,
                                      keep_blocked_urls=True)
         blocker.install(browser.webrequest)

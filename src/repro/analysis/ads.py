@@ -25,7 +25,7 @@ from repro.analysis.stage import (
     fold_views,
     register_stage,
 )
-from repro.filters import FilterEngine
+from repro.filters import CompiledFilterEngine
 from repro.net.http import ResourceType
 
 _GENERIC_FIRST_PARTY = "https://publisher-context.example/"
@@ -143,7 +143,7 @@ class AdsStage(AnalysisStage):
 
 def compute_ad_delivery(
     views: Iterable[SocketView],
-    engine: FilterEngine,
+    engine: CompiledFilterEngine,
     caption_samples: int = 6,
 ) -> AdDeliveryStats:
     """Aggregate ad units over the classified sockets."""

@@ -27,7 +27,7 @@ from repro.analysis.stage import (
     register_stage,
 )
 from repro.crawler.dataset import StudyDataset
-from repro.filters import FilterEngine
+from repro.filters import CompiledFilterEngine
 from repro.labeling.aa_labeler import AaLabeler
 from repro.labeling.resolver import DomainResolver
 from repro.net.http import ResourceType
@@ -60,7 +60,7 @@ class BlockingStats:
 
 def _chain_has_blocked_script(
     script_urls: tuple[str, ...],
-    engine: FilterEngine,
+    engine: CompiledFilterEngine,
     cache: dict[str, bool],
 ) -> bool:
     for url in script_urls:

@@ -37,7 +37,7 @@ from repro.crawler.dataset import DatasetMeta
 if TYPE_CHECKING:
     from repro.analysis.classify import SocketView
     from repro.crawler.dataset import StudyDataset
-    from repro.filters import FilterEngine
+    from repro.filters import CompiledFilterEngine
     from repro.labeling.aa_labeler import AaLabeler
     from repro.labeling.resolver import DomainResolver
 
@@ -62,7 +62,7 @@ class StageContext:
     meta: DatasetMeta = field(default_factory=DatasetMeta)
     labeler: "AaLabeler | None" = None
     resolver: "DomainResolver | None" = None
-    engine: "FilterEngine | None" = None
+    engine: "CompiledFilterEngine | None" = None
     dataset: "StudyDataset | None" = None
 
 

@@ -13,7 +13,7 @@ Grouped exports:
 
 * **Engines** — parse/load/build filter engines at any scale, match
   requests, and reason about verdicts (``CompiledFilterEngine``,
-  ``FilterEngine``, ``MatchResult``, ``EngineStats``, ``linear_match``,
+  ``MatchResult``, ``EngineStats``, ``linear_match``,
   ``load_filter_engine``, ``build_filter_engine``,
   ``generate_filter_lists``).
 * **Analysis** — the streaming stage engine and the per-artifact entry
@@ -50,7 +50,6 @@ from repro.extension import WEBREQUEST_BUG_FIX_VERSION
 from repro.filters import (
     CompiledFilterEngine,
     EngineStats,
-    FilterEngine,
     FilterList,
     FilterRule,
     MatchResult,
@@ -105,7 +104,6 @@ from repro.web.filterlists import (
 __all__ = [
     # Engines.
     "CompiledFilterEngine",
-    "FilterEngine",
     "FilterList",
     "FilterRule",
     "MatchResult",

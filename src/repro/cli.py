@@ -4,10 +4,10 @@ Commands:
 
 * ``study``   — run the four-crawl study and print every artifact
   (``--trace``/``--metrics-out`` export the observability artifacts;
-  ``--faults`` injects a named fault profile; ``--checkpoint``
-  journals per-site completion for resume; ``--spool-dir`` journals
-  into a durable write-ahead spool instead — crash-safe,
-  quota-bounded via ``--spool-quota``).
+  ``--faults`` injects a named fault profile; ``--spool-dir``
+  journals per-site completion into a durable write-ahead spool, so
+  rerunning with the same directory resumes an interrupted study —
+  crash-safe, quota-bounded via ``--spool-quota``).
 * ``analyze`` — re-analyze a dataset saved by ``study --dataset-out``
   in one streaming pass, serving unchanged stages from the
   content-addressed artifact cache (``--no-cache`` bypasses it);
@@ -160,16 +160,11 @@ def _cmd_study(args: argparse.Namespace) -> int:
         print(f"--workers must be >= 1, got {args.workers}",
               file=sys.stderr)
         return 2
-    if args.checkpoint and args.spool_dir:
-        print("--checkpoint and --spool-dir are exclusive journals; "
-              "pick one", file=sys.stderr)
-        return 2
     obs = Obs()
     if not args.quiet:
         obs.tracer.add_sink(_progress_sink(args.verbose))
     try:
         result = run_study(config, obs=obs,
-                           checkpoint_path=args.checkpoint or None,
                            workers=args.workers,
                            spool_dir=args.spool_dir or None,
                            spool_quota=args.spool_quota)
@@ -535,9 +530,7 @@ def _cmd_visit(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    engine = build_filter_engine(
-        default_registry(), compiled=args.engine == "compiled"
-    )
+    engine = build_filter_engine(default_registry())
     try:
         rtype = ResourceType(args.type)
     except ValueError:
@@ -766,10 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the final metrics snapshot as JSON")
     study.add_argument("--faults", choices=sorted(PROFILES), default="none",
                        help="inject a named fault profile into the crawls")
-    study.add_argument("--checkpoint", default="",
-                       help="JSONL journal of per-site completion; rerun "
-                            "with the same path to resume an interrupted "
-                            "study")
     study.add_argument("--workers", type=int, default=1,
                        help="crawl shards on this many worker processes "
                             "(artifacts are byte-identical across worker "
@@ -778,10 +767,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the full study dataset as JSONL "
                             "(.gz supported) for later `repro analyze`")
     study.add_argument("--spool-dir", default="", dest="spool_dir",
-                       help="journal crawl progress into a durable "
-                            "write-ahead spool at this directory "
-                            "(crash-safe; drain with `repro spool "
-                            "import`)")
+                       help="journal per-site completion into a durable "
+                            "write-ahead spool at this directory; rerun "
+                            "with the same directory to resume an "
+                            "interrupted study (crash-safe; drain with "
+                            "`repro spool import`)")
     study.add_argument("--spool-quota", type=int, default=0,
                        dest="spool_quota", metavar="BYTES",
                        help="spool size budget; oldest imported segments "
@@ -926,10 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--type", default="script")
     check.add_argument("--first-party", default="https://publisher.example/",
                        dest="first_party")
-    check.add_argument("--engine", choices=("compiled", "interpreted"),
-                       default="compiled",
-                       help="which matcher to use (verdicts are identical; "
-                            "the compiled index is the scale-ready one)")
     check.set_defaults(func=_cmd_check)
 
     serve = sub.add_parser(

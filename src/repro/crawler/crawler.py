@@ -46,7 +46,7 @@ from repro.web.alexa import Site
 from repro.web.server import SyntheticWeb
 
 if TYPE_CHECKING:  # avoids the persistence → dataset → crawler cycle
-    from repro.crawler.persistence import CrawlCheckpoint, SiteCheckpoint
+    from repro.crawler.persistence import CrawlJournal, SiteCheckpoint
 
 Observer = Callable[[PageObservation], None]
 
@@ -178,7 +178,7 @@ class CrawlAccountant:
         site_total: int,
         observers: Iterable[Observer] = (),
         obs: Obs | None = None,
-        checkpoint: "CrawlCheckpoint | None" = None,
+        checkpoint: "CrawlJournal | None" = None,
         progress_every: int = 25,
     ) -> None:
         self.config = config
@@ -405,7 +405,7 @@ class Crawler:
     def run(
         self,
         sites: Iterable[Site] | None = None,
-        checkpoint: "CrawlCheckpoint | None" = None,
+        checkpoint: "CrawlJournal | None" = None,
     ) -> CrawlRunSummary:
         """Crawl the given sites (default: the full seed list).
 

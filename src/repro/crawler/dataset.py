@@ -25,7 +25,7 @@ from repro.content.items import ReceivedClass, SentItem
 from repro.content.received import classify_http_response
 from repro.crawler.crawler import CrawlRunSummary
 from repro.crawler.observation import PageObservation
-from repro.filters import FilterEngine
+from repro.filters import CompiledFilterEngine
 from repro.labeling.aa_labeler import AaLabeler, DomainTagCounter
 from repro.labeling.cloudfront import CloudfrontMapper, is_cloudfront_host
 from repro.labeling.resolver import DomainResolver
@@ -151,7 +151,7 @@ class ChainSignature:
 class StudyDataset:
     """Accumulates one or more crawls of the study."""
 
-    engine: FilterEngine
+    engine: CompiledFilterEngine
     socket_records: list[SocketRecord] = field(default_factory=list)
     tag_counter: DomainTagCounter = field(default_factory=DomainTagCounter)
     cf_mapper: CloudfrontMapper = field(default_factory=CloudfrontMapper)

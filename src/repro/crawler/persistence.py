@@ -9,9 +9,10 @@ prose statistics without re-crawling (:func:`save_dataset` /
 byte stream :func:`save_dataset` writes, so a live dataset and its
 saved file share one content address for the stage cache.
 
-This module also holds the crawl *checkpoint journal*: an append-only
-JSONL file with one entry per finished site, which lets an interrupted
-study resume where it stopped (:class:`CrawlCheckpoint`).
+This module also holds the crawl journal's entry type and codec
+(:class:`SiteCheckpoint`) and the interface the crawler resumes from
+(:class:`CrawlJournal`); :class:`repro.spool.SpoolJournal` is the
+journal that implements it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol
 
 from repro.content.ads import AdUnit
 from repro.content.items import ReceivedClass, SentItem
@@ -49,7 +50,7 @@ from repro.util.serialization import (
 
 if TYPE_CHECKING:
     from repro.crawler.crawler import CrawlRunSummary
-    from repro.filters import FilterEngine
+    from repro.filters import CompiledFilterEngine
 
 DATASET_FORMAT = "repro.dataset"
 DATASET_VERSION = 2
@@ -291,7 +292,7 @@ class DatasetReader:
     """
 
     def __init__(
-        self, path: str | Path, engine: "FilterEngine | None" = None
+        self, path: str | Path, engine: "CompiledFilterEngine | None" = None
     ) -> None:
         self.path = Path(path)
         if not self.path.exists():
@@ -352,7 +353,7 @@ class DatasetReader:
         return _meta_from_json(header["meta"]), preamble
 
     def _restore_dataset(
-        self, preamble: dict[str, dict], engine: "FilterEngine | None"
+        self, preamble: dict[str, dict], engine: "CompiledFilterEngine | None"
     ) -> StudyDataset:
         if engine is None:
             # The filter engine is scale-independent: it is built from
@@ -515,7 +516,7 @@ class DatasetReader:
 
 
 def open_dataset(
-    path: str | Path, engine: "FilterEngine | None" = None
+    path: str | Path, engine: "CompiledFilterEngine | None" = None
 ) -> DatasetReader:
     """Open a saved dataset file for streaming re-analysis."""
     return DatasetReader(path, engine=engine)
@@ -726,14 +727,11 @@ def entry_from_json(payload: dict) -> SiteCheckpoint:
         status=payload["status"],
         pages=payload["pages"],
         sockets=payload["sockets"],
-        # Journals written before PR 4 carried only the counts; their
-        # sites restore without observation replay (and without the
-        # failure attribution), exactly as they did then.
-        pages_failed=payload.get("pages_failed", 0),
-        page_retries=payload.get("page_retries", 0),
-        sockets_partial=payload.get("sockets_partial", 0),
-        events_published=payload.get("events_published", 0),
-        errors=payload.get("errors", {}),
+        pages_failed=payload["pages_failed"],
+        page_retries=payload["page_retries"],
+        sockets_partial=payload["sockets_partial"],
+        events_published=payload["events_published"],
+        errors=payload["errors"],
         page_outcomes=tuple(
             PageOutcome(
                 page_index=index,
@@ -742,35 +740,25 @@ def entry_from_json(payload: dict) -> SiteCheckpoint:
                     if observation is not None else None
                 ),
             )
-            for index, observation in payload.get("pages_detail", ())
+            for index, observation in payload["pages_detail"]
         ),
     )
 
 
-class CrawlCheckpoint:
-    """Append-only JSONL journal of per-site crawl completion.
+class CrawlJournal(Protocol):
+    """A resumable record of per-site crawl completion.
 
-    Opening an existing journal loads its entries; the crawler skips
-    journaled sites (restoring their counts into the run summary and
-    replaying their journaled observations into the observers) and
-    appends one entry per newly finished site, flushing after each so
-    a crash loses at most the site in flight.
+    The crawler skips journaled sites (restoring their counts into the
+    run summary and replaying their journaled observations into the
+    observers) and records one entry per newly finished site.
+    :class:`repro.spool.SpoolJournal` is the implementation; the
+    crawler only depends on this interface, never on the spool.
     """
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._entries: dict[tuple[int, str], SiteCheckpoint] = {}
-        if self.path.exists():
-            for payload in read_jsonl(self.path):
-                entry = entry_from_json(payload)
-                self._entries[(entry.crawl, entry.domain)] = entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    def __len__(self) -> int: ...
 
     def get(self, crawl: int, domain: str) -> SiteCheckpoint | None:
         """The journaled entry for a site, or ``None`` if unfinished."""
-        return self._entries.get((crawl, domain))
 
     def covers(self, crawl: int, domains: Iterable[str]) -> bool:
         """Whether every one of ``domains`` is journaled for ``crawl``.
@@ -780,15 +768,6 @@ class CrawlCheckpoint:
         lane state is otherwise unreconstructable), and a partially
         journaled shard is re-crawled whole.
         """
-        return all(
-            (crawl, domain) in self._entries for domain in domains
-        )
 
     def record(self, entry: SiteCheckpoint) -> None:
-        """Append one finished site to the journal."""
-        self._entries[(entry.crawl, entry.domain)] = entry
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry_to_json(entry), sort_keys=True))
-            handle.write("\n")
-            handle.flush()
+        """Durably append one finished site."""

@@ -34,7 +34,7 @@ from repro.crawler.crawler import (
 )
 from repro.crawler.dataset import StudyDataset
 from repro.crawler.outcome import LaneStats
-from repro.crawler.persistence import CrawlCheckpoint
+from repro.crawler.persistence import CrawlJournal
 from repro.labeling.aa_labeler import AaLabeler
 from repro.labeling.resolver import DomainResolver
 from repro.obs import Obs, ObsSummary
@@ -154,7 +154,7 @@ def run_crawls(
     web: SyntheticWeb,
     config: StudyConfig,
     obs: Obs | None = None,
-    checkpoint: CrawlCheckpoint | None = None,
+    checkpoint: CrawlJournal | None = None,
     workers: int = 1,
 ) -> tuple[StudyDataset, list[CrawlRunSummary]]:
     """Run the configured crawls, returning the accumulated dataset.
@@ -226,11 +226,13 @@ def run_crawls(
                 f"filters.by_crawl.{crawl_config.index}", delta
             )
     if obs is not None:
+        stats = engine.stats
         obs.metrics.histogram(
             "filters.candidates_per_match"
         ).observe(
-            (engine.stats.token_candidates + engine.stats.generic_candidates)
-            / max(engine.stats.matches, 1)
+            (stats.token_candidates + stats.host_candidates
+             + stats.generic_candidates)
+            / max(stats.matches, 1)
         )
     return dataset, summaries
 
@@ -284,7 +286,6 @@ def analyze(
 def run_study(
     config: StudyConfig = DEFAULT_CONFIG,
     obs: Obs | None = None,
-    checkpoint_path: str | Path | None = None,
     workers: int = 1,
     spool_dir: str | Path | None = None,
     spool_quota: int = 0,
@@ -293,23 +294,16 @@ def run_study(
 
     An :class:`~repro.obs.Obs` context is created when none is passed,
     so every study carries its audit trail in ``result.obs``. With a
-    ``checkpoint_path``, per-site completion is journaled there and a
-    rerun resumes from the journal; with ``spool_dir`` the journal
-    instead goes through the durable write-ahead spool
-    (:mod:`repro.spool`) — crash-recovered on open, quota-bounded by
-    ``spool_quota`` bytes (0 = unlimited), and importable into a
-    dataset file with ``repro spool import``. The two are mutually
-    exclusive. ``workers`` fans the crawl shards out over a process
-    pool without changing a byte of any artifact.
+    ``spool_dir``, per-site completion is journaled into the durable
+    write-ahead spool (:mod:`repro.spool`) and a rerun with the same
+    directory resumes from it — crash-recovered on open, quota-bounded
+    by ``spool_quota`` bytes (0 = unlimited), and importable into a
+    dataset file with ``repro spool import``. ``workers`` fans the
+    crawl shards out over a process pool without changing a byte of
+    any artifact.
     """
-    if checkpoint_path and spool_dir:
-        raise ValueError(
-            "pass either checkpoint_path or spool_dir, not both"
-        )
     obs = obs or Obs()
-    checkpoint = (
-        CrawlCheckpoint(checkpoint_path) if checkpoint_path else None
-    )
+    checkpoint: CrawlJournal | None = None
     spool_store = None
     with obs.span("study", preset=config.name, seed=config.seed):
         obs.event("stage", stage="build-web")

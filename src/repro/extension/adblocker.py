@@ -1,6 +1,6 @@
 """An AdBlock-Plus-style blocking extension.
 
-Binds a :class:`~repro.filters.FilterEngine` to the ``webRequest`` API.
+Binds a :class:`~repro.filters.CompiledFilterEngine` to the ``webRequest`` API.
 The ``websocket_aware`` flag selects between correct ``ws://*``-inclusive
 URL patterns and the ``http://*``-only patterns Franken et al. found in
 real extensions — with the latter, WebSockets slip through even on
@@ -16,7 +16,7 @@ from repro.extension.webrequest import (
     RequestFilter,
     WebRequestApi,
 )
-from repro.filters import FilterEngine
+from repro.filters import CompiledFilterEngine
 from repro.net.http import HttpRequest
 
 _HTTP_ONLY_PATTERNS = ("http://*", "https://*")
@@ -49,7 +49,7 @@ class AdBlockerExtension:
 
     def __init__(
         self,
-        engine: FilterEngine,
+        engine: CompiledFilterEngine,
         websocket_aware: bool = True,
         keep_blocked_urls: bool = False,
     ) -> None:

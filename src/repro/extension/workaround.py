@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.filters import FilterEngine
+from repro.filters import CompiledFilterEngine
 from repro.net.http import ResourceType
 
 
@@ -51,7 +51,7 @@ class WebSocketWrapperWorkaround:
 
     def __init__(
         self,
-        engine: FilterEngine,
+        engine: CompiledFilterEngine,
         subframe_coverage: float = 0.8,
     ) -> None:
         if not 0.0 <= subframe_coverage <= 1.0:

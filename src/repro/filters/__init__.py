@@ -18,7 +18,6 @@ from repro.filters.compiled import CompiledFilterEngine
 from repro.filters.engine import (
     OWN_STATS,
     EngineStats,
-    FilterEngine,
     MatchResult,
     linear_match,
 )
@@ -35,7 +34,6 @@ from repro.filters.rules import (
 __all__ = [
     "CompiledFilterEngine",
     "EngineStats",
-    "FilterEngine",
     "MatchResult",
     "OWN_STATS",
     "linear_match",

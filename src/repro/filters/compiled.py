@@ -1,11 +1,10 @@
 """The compiled rule index: EasyList-scale filter matching.
 
-Real EasyList/EasyPrivacy are tens of thousands of rules; the
-interpreted :class:`~repro.filters.engine.FilterEngine` keeps every
-no-reliable-token rule in one generic bucket and regex-tests each
-offered candidate, which stops scaling long before 50k rules. This
-module compiles the same parsed rules into an immutable index that
-keeps candidate sets tiny and avoids the regex engine for the most
+Real EasyList/EasyPrivacy are tens of thousands of rules; an index that
+keeps every no-reliable-token rule in one generic bucket and
+regex-tests each offered candidate stops scaling long before 50k
+rules. This module compiles the parsed rules into an immutable index
+that keeps candidate sets tiny and avoids the regex engine for the most
 common rule shape entirely:
 
 * **Boundary-aware token sharding** — each rule is indexed under ONE
@@ -39,9 +38,9 @@ common rule shape entirely:
 Equivalence contract: for every URL/context,
 ``CompiledFilterEngine.match`` returns the same verdict AND the same
 decisive rules (lowest list-order applicable match, for both
-polarities) as :class:`FilterEngine` and :func:`linear_match`. The
-hypothesis suite in ``tests/filters/test_equivalence.py`` pins all
-three against each other.
+polarities) as the brute-force specification
+:func:`~repro.filters.engine.linear_match`. The hypothesis suite in
+``tests/filters/test_equivalence.py`` pins the two against each other.
 
 The index is immutable after construction and picklable (plain tuples
 and dicts), so the parallel executor's forked workers and the future
@@ -53,12 +52,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Sequence
 
-from repro.filters.engine import (
-    _URL_TOKEN_RE,
-    OWN_STATS,
-    EngineStats,
-    MatchResult,
-)
+from repro.filters.engine import OWN_STATS, EngineStats, MatchResult
 from repro.filters.rules import SCHEME_RE, FilterList, FilterRule
 from repro.net.domains import is_third_party
 from repro.net.http import ResourceType
@@ -103,6 +97,8 @@ CompiledEntry = tuple[
 # per terminal by the walk, not once per entry.
 _T_ANY = 0
 _T_SEP = 1
+
+_URL_TOKEN_RE = re.compile(r"[a-z0-9]{3,}")
 
 _WILDCARD_SPLIT_RE = re.compile(r"[*^|]+")
 
@@ -266,7 +262,7 @@ class _CompiledIndex:
     into per-``(type, party)`` sub-buckets before first use."""
 
     __slots__ = ("_by_token", "_pairs", "_sharded", "_trie", "_generic",
-                 "_exception", "type_presence", "size")
+                 "type_presence", "size")
 
     #: Token buckets larger than this are re-sharded under (primary,
     #: secondary) token pairs; a pair bucket is only offered when the
@@ -275,11 +271,8 @@ class _CompiledIndex:
     _PAIR_SHARD_THRESHOLD = 24
 
     def __init__(
-        self,
-        entries: Sequence[tuple[CompiledEntry, list[str]]],
-        exception: bool,
+        self, entries: Sequence[tuple[CompiledEntry, list[str]]]
     ) -> None:
-        self._exception = exception
         self._by_token: dict[str, FrozenBucket] = {}
         self._pairs: dict[tuple[str, str], FrozenBucket] = {}
         self._sharded: dict[str, bool] = {}
@@ -419,26 +412,15 @@ class _CompiledIndex:
         if self._generic:
             yield self._generic, _LANE_GENERIC
 
-    def _charge(self, stats: EngineStats, lane: int, count: int) -> None:
-        """Candidate telemetry, split by polarity (combined fields stay
-        exact sums of the per-polarity ones)."""
+    @staticmethod
+    def _charge(stats: EngineStats, lane: int, count: int) -> None:
+        """Charge offered candidates to the lane's counter."""
         if lane == _LANE_TOKEN:
-            stats.token_buckets += 1
             stats.token_candidates += count
-            if self._exception:
-                stats.exception_token_buckets += 1
-                stats.exception_token_candidates += count
-            else:
-                stats.block_token_buckets += 1
-                stats.block_token_candidates += count
         elif lane == _LANE_HOST:
             stats.host_candidates += count
         else:
             stats.generic_candidates += count
-            if self._exception:
-                stats.exception_generic_candidates += count
-            else:
-                stats.block_generic_candidates += count
 
     def best_match(
         self,
@@ -492,9 +474,10 @@ class _CompiledIndex:
 
 
 class CompiledFilterEngine:
-    """Drop-in :class:`FilterEngine` replacement built for 10k–100k-rule
-    lists: same constructor, same ``match``/``would_block``/``stats``
-    surface, same verdicts and decisive rules — provably, see the
+    """Evaluates requests against one or more parsed filter lists.
+
+    Built for 10k–100k-rule lists; its verdicts and decisive rules are
+    those of :func:`~repro.filters.engine.linear_match` — see the
     module docstring's equivalence contract."""
 
     def __init__(self, lists: Iterable[FilterList]) -> None:
@@ -511,8 +494,8 @@ class CompiledFilterEngine:
                 )
                 (exceptions if rule.is_exception else blocks).append(compiled)
                 order += 1
-        self._blocks = _CompiledIndex(blocks, exception=False)
-        self._exceptions = _CompiledIndex(exceptions, exception=True)
+        self._blocks = _CompiledIndex(blocks)
+        self._exceptions = _CompiledIndex(exceptions)
 
     @property
     def rule_count(self) -> int:
@@ -526,12 +509,24 @@ class CompiledFilterEngine:
         first_party_url: str,
         stats: EngineStats | None = OWN_STATS,
     ) -> MatchResult:
-        """Evaluate one request (see :meth:`FilterEngine.match`).
+        """Evaluate one request.
 
-        Pass ``stats`` explicitly (caller-owned, or ``None`` for no
-        recording) when the engine is shared across threads: the index
-        itself is immutable, so with a non-default ``stats`` the call
-        is read-only on the engine and safe under concurrent readers.
+        Args:
+            url: The request URL (http/https/ws/wss).
+            resource_type: What kind of resource is being fetched. Pass
+                :attr:`ResourceType.WEBSOCKET` for socket handshakes.
+            first_party_url: Top-level page URL providing party context.
+            stats: Where to record match telemetry. Defaults to the
+                engine-owned ``self.stats``; pass a caller-owned
+                :class:`EngineStats` or ``None`` (no recording) when
+                the engine is shared across threads: the index itself
+                is immutable, so with a non-default ``stats`` the call
+                is read-only on the engine and safe under concurrent
+                readers.
+
+        Returns:
+            The match verdict. ``blocked`` is True only when a blocking
+            rule matches and no exception rule does.
         """
         if stats is OWN_STATS:
             stats = self.stats

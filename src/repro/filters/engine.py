@@ -1,23 +1,15 @@
-"""The filter matching engine.
+"""Matching vocabulary shared by the filter engine and its specification.
 
 Given a request (URL, resource type, first-party context), decide whether
-the combined lists block it. Matching uses a token index: every rule is
-sharded under one of the literal tokens its pattern *guarantees* in any
-matching URL (see :meth:`FilterRule.index_tokens` for the reliability
-rule), so a URL only tries the rules whose tokens it actually contains,
-plus a small generic bucket. This is the same design real blockers use
-and keeps the post-hoc chain analysis (hundreds of thousands of URLs)
-fast.
-
-Three matchers share one semantics:
+the combined lists block it. Two matchers share one semantics:
 
 * :func:`linear_match` — the executable specification: a brute-force
   scan of every rule in list order. Slow, obviously correct.
-* :class:`FilterEngine` — this module's interpreted token index.
-* :class:`repro.filters.compiled.CompiledFilterEngine` — the compiled
-  index for EasyList-scale lists (host lane, bit-mask pre-filters).
+* :class:`repro.filters.compiled.CompiledFilterEngine` — the engine:
+  a compiled index (token buckets, host lane, bit-mask pre-filters)
+  that keeps per-match cost flat at EasyList scale.
 
-All three return the same verdict *and* the same decisive rules: the
+Both return the same verdict *and* the same decisive rules: the
 blocking rule reported is always the first applicable match in list
 order, and likewise for the rescuing exception. The equivalence is
 pinned by the hypothesis property suite in
@@ -26,16 +18,13 @@ pinned by the hypothesis property suite in
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, cast
+from dataclasses import asdict, dataclass
+from typing import Sequence, cast
 
 from repro.filters.rules import FilterList, FilterRule
 from repro.net.domains import is_third_party
 from repro.net.http import ResourceType
 from repro.util.urls import parse_url
-
-_URL_TOKEN_RE = re.compile(r"[a-z0-9]{3,}")
 
 #: Sentinel default for ``match(stats=...)``: record telemetry into the
 #: engine-owned ``self.stats`` (the historical single-threaded
@@ -45,85 +34,39 @@ _URL_TOKEN_RE = re.compile(r"[a-z0-9]{3,}")
 #: ``repro.serve`` snapshot contract).
 OWN_STATS: "EngineStats" = cast("EngineStats", object())
 
-# One indexed rule: (global order, rule, owning list name). Global order
-# is file order across lists — the tiebreak that makes the decisive
-# rule canonical across all three matchers.
-IndexEntry = tuple[int, FilterRule, str]
-
 
 @dataclass
 class EngineStats:
     """Always-on match telemetry, harvested by the obs layer.
 
-    Candidate counts are *offered* candidates: when a token bucket (or
-    the generic bucket) is reached, its full length is charged, even if
-    the caller stops early on a hit — i.e. they measure index
-    selectivity, not rules actually regex-tested.
-
-    The ``token_buckets`` / ``token_candidates`` / ``generic_candidates``
-    fields are the historical combined counters (kept for backward
-    compatibility); since PR 9 they are exact sums of the per-polarity
-    ``block_*`` / ``exception_*`` fields, which keep block-index
-    selectivity from being conflated with exception-index selectivity
-    (the exception index is only consulted after a block hit, so its
-    offer profile is very different).
+    Candidate counts are *offered* candidates: when a bucket is
+    reached, its full length is charged, even if the caller stops early
+    on a hit — i.e. they measure index selectivity, not rules actually
+    regex-tested. Each of the engine's three lanes has one counter,
+    charged for both polarities, so their sum is every rule the index
+    offered.
 
     Attributes:
         matches: ``match()`` calls.
         blocked: Calls that ended blocked.
         exception_overrides: Calls where an exception rule rescued a
             request a blocking rule had matched.
-        token_buckets: Token-index buckets reached (both polarities).
-        token_candidates: Rules offered from token buckets (both).
-        generic_candidates: Rules offered from generic buckets (both).
-        block_token_buckets: Token buckets reached in the block index.
-        block_token_candidates: Rules offered from block token buckets.
-        block_generic_candidates: Rules offered from the block generic
-            bucket.
-        exception_token_buckets: Token buckets reached in the exception
-            index.
-        exception_token_candidates: Rules offered from exception token
+        token_candidates: Rules offered from token and token-pair
             buckets.
-        exception_generic_candidates: Rules offered from the exception
-            generic bucket.
-        host_candidates: Rules offered from the compiled engine's
-            hostname lane (both polarities; always 0 on the interpreted
-            engine, which has no lane). Not folded into the combined
-            token/generic fields so their historical meaning is
-            preserved.
+        generic_candidates: Rules offered from the generic buckets.
+        host_candidates: Rules offered from the hostname trie lane.
     """
 
     matches: int = 0
     blocked: int = 0
     exception_overrides: int = 0
-    token_buckets: int = 0
     token_candidates: int = 0
     generic_candidates: int = 0
-    block_token_buckets: int = 0
-    block_token_candidates: int = 0
-    block_generic_candidates: int = 0
-    exception_token_buckets: int = 0
-    exception_token_candidates: int = 0
-    exception_generic_candidates: int = 0
     host_candidates: int = 0
 
     def as_counts(self) -> dict[str, int]:
         """The stats as a plain name→count mapping."""
-        return {
-            "matches": self.matches,
-            "blocked": self.blocked,
-            "exception_overrides": self.exception_overrides,
-            "token_buckets": self.token_buckets,
-            "token_candidates": self.token_candidates,
-            "generic_candidates": self.generic_candidates,
-            "block_token_buckets": self.block_token_buckets,
-            "block_token_candidates": self.block_token_candidates,
-            "block_generic_candidates": self.block_generic_candidates,
-            "exception_token_buckets": self.exception_token_buckets,
-            "exception_token_candidates": self.exception_token_candidates,
-            "exception_generic_candidates": self.exception_generic_candidates,
-            "host_candidates": self.host_candidates,
-        }
+        return asdict(self)
 
     def snapshot(self) -> "EngineStats":
         """A frozen copy, for before/after delta attribution."""
@@ -142,11 +85,6 @@ class EngineStats:
             for key, value in self.as_counts().items()
         }
 
-    def merge(self, other: "EngineStats") -> None:
-        """Fold another engine's stats in (all fields additive)."""
-        for key, value in other.as_counts().items():
-            setattr(self, key, getattr(self, key) + value)
-
 
 @dataclass(frozen=True)
 class MatchResult:
@@ -156,7 +94,7 @@ class MatchResult:
         blocked: Final verdict after exception processing.
         rule: The blocking rule that matched, if any — always the
             *first* applicable match in list order (canonical across
-            the interpreted, compiled, and linear matchers).
+            the compiled and linear matchers).
         exception_rule: The exception rule that rescued the request, if
             any (same first-in-list-order contract).
         list_name: Name of the list contributing the decisive rule.
@@ -173,172 +111,6 @@ class MatchResult:
         return self.rule is not None
 
 
-class _RuleIndex:
-    """Token-sharded rule storage for one polarity (block or exception).
-
-    Buckets hold entries in ascending global order (insertion order is
-    list order), so a per-bucket scan can stop as soon as entries can
-    no longer beat the best match found in earlier buckets.
-    """
-
-    def __init__(self, exception: bool) -> None:
-        self._exception = exception
-        self._by_token: dict[str, list[IndexEntry]] = {}
-        self._generic: list[IndexEntry] = []
-        self.size = 0
-
-    def add(self, order: int, rule: FilterRule, list_name: str) -> None:
-        tokens = rule.index_tokens()
-        self.size += 1
-        entry = (order, rule, list_name)
-        if not tokens:
-            # No reliable token: the rule must be offered for every URL.
-            # (Indexing under an unreliable token here is exactly the
-            # false-negative bug this engine used to have.)
-            self._generic.append(entry)
-            return
-        # Index under the longest reliable token: fewest false
-        # candidates without global bucket statistics (the compiled
-        # engine improves on this with least-loaded selection).
-        token = max(tokens, key=len)
-        self._by_token.setdefault(token, []).append(entry)
-
-    def buckets(
-        self, url_tokens: Sequence[str], stats: EngineStats | None = None
-    ) -> Iterator[list[IndexEntry]]:
-        """Order-sorted candidate buckets for a tokenized URL."""
-        seen: set[str] = set()
-        for token in url_tokens:
-            if token in seen:
-                continue
-            seen.add(token)
-            bucket = self._by_token.get(token)
-            if bucket is not None:
-                if stats is not None:
-                    stats.token_buckets += 1
-                    stats.token_candidates += len(bucket)
-                    if self._exception:
-                        stats.exception_token_buckets += 1
-                        stats.exception_token_candidates += len(bucket)
-                    else:
-                        stats.block_token_buckets += 1
-                        stats.block_token_candidates += len(bucket)
-                yield bucket
-        if stats is not None:
-            stats.generic_candidates += len(self._generic)
-            if self._exception:
-                stats.exception_generic_candidates += len(self._generic)
-            else:
-                stats.block_generic_candidates += len(self._generic)
-        if self._generic:
-            yield self._generic
-
-    def best_match(
-        self,
-        url: str,
-        url_tokens: Sequence[str],
-        resource_type: ResourceType,
-        third_party: bool,
-        first_party_host: str,
-        stats: EngineStats | None = None,
-    ) -> IndexEntry | None:
-        """The lowest-order applicable matching entry, or ``None``."""
-        best: IndexEntry | None = None
-        for bucket in self.buckets(url_tokens, stats):
-            for entry in bucket:
-                if best is not None and entry[0] >= best[0]:
-                    break  # bucket is order-sorted; no later entry wins
-                rule = entry[1]
-                if rule.options.applies_to(
-                    resource_type, third_party, first_party_host
-                ) and rule.matches_url(url):
-                    best = entry
-                    break
-        return best
-
-
-class FilterEngine:
-    """Evaluates requests against one or more parsed filter lists."""
-
-    def __init__(self, lists: Iterable[FilterList]) -> None:
-        self.lists = list(lists)
-        self.stats = EngineStats()
-        self._blocks = _RuleIndex(exception=False)
-        self._exceptions = _RuleIndex(exception=True)
-        order = 0
-        for filter_list in self.lists:
-            for rule in filter_list.rules:
-                index = self._exceptions if rule.is_exception else self._blocks
-                index.add(order, rule, filter_list.name)
-                order += 1
-
-    @property
-    def rule_count(self) -> int:
-        """Total number of indexed rules across all lists."""
-        return self._blocks.size + self._exceptions.size
-
-    def match(
-        self,
-        url: str,
-        resource_type: ResourceType,
-        first_party_url: str,
-        stats: EngineStats | None = OWN_STATS,
-    ) -> MatchResult:
-        """Evaluate one request.
-
-        Args:
-            url: The request URL (http/https/ws/wss).
-            resource_type: What kind of resource is being fetched. Pass
-                :attr:`ResourceType.WEBSOCKET` for socket handshakes.
-            first_party_url: Top-level page URL providing party context.
-            stats: Where to record match telemetry. Defaults to the
-                engine-owned ``self.stats``; pass a caller-owned
-                :class:`EngineStats` (merge deltas yourself) or ``None``
-                (no recording) when the engine is shared across threads
-                — with either, ``match`` is read-only on the engine.
-
-        Returns:
-            The match verdict. ``blocked`` is True only when a blocking
-            rule matches and no exception rule does.
-        """
-        if stats is OWN_STATS:
-            stats = self.stats
-        if stats is not None:
-            stats.matches += 1
-        lowered = url.lower()
-        url_tokens = _URL_TOKEN_RE.findall(lowered)
-        third_party = bool(first_party_url) and is_third_party(url, first_party_url)
-        first_party_host = parse_url(first_party_url).host if first_party_url else ""
-
-        block_hit = self._blocks.best_match(
-            url, url_tokens, resource_type, third_party, first_party_host, stats
-        )
-        if block_hit is None:
-            return MatchResult(blocked=False)
-
-        exception_hit = self._exceptions.best_match(
-            url, url_tokens, resource_type, third_party, first_party_host, stats
-        )
-        if exception_hit is not None:
-            if stats is not None:
-                stats.exception_overrides += 1
-            return MatchResult(
-                blocked=False,
-                rule=block_hit[1],
-                exception_rule=exception_hit[1],
-                list_name=exception_hit[2],
-            )
-        if stats is not None:
-            stats.blocked += 1
-        return MatchResult(blocked=True, rule=block_hit[1], list_name=block_hit[2])
-
-    def would_block(
-        self, url: str, resource_type: ResourceType, first_party_url: str
-    ) -> bool:
-        """Shorthand for ``match(...).blocked``."""
-        return self.match(url, resource_type, first_party_url).blocked
-
-
 def linear_match(
     lists: Sequence[FilterList],
     url: str,
@@ -347,7 +119,7 @@ def linear_match(
 ) -> MatchResult:
     """Brute-force reference matcher: scan every rule in list order.
 
-    The executable specification the indexed engines are property-tested
+    The executable specification the compiled engine is property-tested
     against — no index, no pre-filters, nothing to get wrong. O(rules)
     per call, so only tests and audits should use it.
     """

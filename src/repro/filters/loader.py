@@ -11,7 +11,6 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.filters.compiled import CompiledFilterEngine
-from repro.filters.engine import FilterEngine
 from repro.filters.parser import parse_filter_list
 from repro.filters.rules import FilterList
 
@@ -23,18 +22,9 @@ def load_filter_file(path: str | Path, name: str | None = None) -> FilterList:
     return parse_filter_list(name or path.stem, text)
 
 
-def load_filter_engine(
-    paths: Iterable[str | Path], *, compiled: bool = True
-) -> CompiledFilterEngine | FilterEngine:
-    """Build an engine from one or more filter-list files.
-
-    Compiled by default — at real-EasyList scale (tens of thousands of
-    rules) the compiled index is the only engine with sane per-match
-    cost. Pass ``compiled=False`` for the interpreted reference.
-    """
+def load_filter_engine(paths: Iterable[str | Path]) -> CompiledFilterEngine:
+    """Build an engine from one or more filter-list files."""
     lists = [load_filter_file(path) for path in paths]
     if not lists:
         raise ValueError("no filter lists given")
-    if compiled:
-        return CompiledFilterEngine(lists)
-    return FilterEngine(lists)
+    return CompiledFilterEngine(lists)

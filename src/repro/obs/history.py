@@ -3,7 +3,7 @@
 ``BENCH_*.json`` files overwrite in place, so before this module the
 repo had no perf *trajectory* — every PR's numbers displaced the last
 PR's. Here every bench emission also appends canonical records to
-``results/bench/history.jsonl``: one line per numeric metric, carrying
+``results/bench/history.jsonl``: one line per gated metric, carrying
 the bench name, dotted metric path, value, git sha, and a hardware
 fingerprint, so runs are only ever compared against runs from the same
 kind of machine.
@@ -159,12 +159,19 @@ def records_for_payload(
     hardware: str = "",
     context: str = "",
 ) -> list[BenchRecord]:
-    """One :class:`BenchRecord` per numeric leaf of ``payload``."""
+    """One :class:`BenchRecord` per gated numeric leaf of ``payload``.
+
+    Leaves without perf semantics (:func:`metric_direction` is
+    ``None``: counts, study statistics, ``_pct`` ratios) are left out —
+    the gate never reads them, and the ``BENCH_*.json`` payload still
+    carries every number.
+    """
     flat = flatten_metrics(payload)
     return [
         BenchRecord(bench=bench, metric=metric, value=flat[metric],
                     git_sha=sha, hardware=hardware, context=context)
         for metric in sorted(flat)
+        if metric_direction(metric) is not None
     ]
 
 

@@ -8,7 +8,7 @@ ceremony. Snapshots are sorted by name so serialized metrics are
 byte-stable across runs.
 
 Naming convention (dotted, lowercase): ``<subsystem>.<quantity>``, e.g.
-``cdp.publish.Network.webSocketCreated``, ``filters.candidates.token``,
+``cdp.publish.Network.webSocketCreated``, ``filters.host_candidates``,
 ``crawler.sockets``, ``webrequest.suppressed_wrb``. DESIGN.md §8 lists
 the full vocabulary.
 """

@@ -60,14 +60,14 @@ from repro.util.serialization import dumps, iter_lines
 
 if TYPE_CHECKING:
     from repro.crawler.dataset import StudyDataset
-    from repro.filters import FilterEngine
+    from repro.filters import CompiledFilterEngine
 
 JOURNAL_NAME = "import.journal"
 JOURNAL_KIND = "spool-import-journal"
 JOURNAL_VERSION = 1
 
 
-def _default_engine() -> "FilterEngine":
+def _default_engine() -> "CompiledFilterEngine":
     # Same construction as DatasetReader: the filter engine is built
     # from the full registry regardless of crawl scale, so the replay
     # tags resources with exactly the rules the crawl used.
@@ -77,7 +77,7 @@ def _default_engine() -> "FilterEngine":
     return build_filter_engine(default_registry())
 
 
-def _fresh_dataset(engine: "FilterEngine | None") -> "StudyDataset":
+def _fresh_dataset(engine: "CompiledFilterEngine | None") -> "StudyDataset":
     from repro.crawler.dataset import StudyDataset
 
     return StudyDataset(engine=engine or _default_engine())
@@ -276,7 +276,7 @@ def _replay_segment(
 def import_spool(
     root: str | Path,
     dataset_path: str | Path,
-    engine: "FilterEngine | None" = None,
+    engine: "CompiledFilterEngine | None" = None,
 ) -> ImportResult:
     """Drain every unimported sealed segment into the dataset file.
 

@@ -1,10 +1,11 @@
-"""The spool-backed crawl journal: a durable ``CrawlCheckpoint``.
+"""The spool-backed crawl journal: how an interrupted study resumes.
 
-:class:`SpoolJournal` duck-types
-:class:`repro.crawler.persistence.CrawlCheckpoint` — ``get`` /
+:class:`SpoolJournal` implements
+:class:`repro.crawler.persistence.CrawlJournal` — ``get`` /
 ``covers`` / ``record`` / ``__len__`` — so the crawler and the
-parallel executor use it unchanged; the wiring happens at the
-composition root (:func:`repro.experiments.runner.run_study`).
+parallel executor use it without importing the spool; the wiring
+happens at the composition root
+(:func:`repro.experiments.runner.run_study`).
 
 Instead of one flat JSONL file, entries go through a
 :class:`~repro.spool.store.SpoolStore`, one shard per crawl lane

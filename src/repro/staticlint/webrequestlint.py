@@ -22,7 +22,7 @@ from repro.extension.webrequest import (
     RequestFilter,
     WebRequestApi,
 )
-from repro.filters import FilterEngine, FilterList
+from repro.filters import CompiledFilterEngine, FilterList
 from repro.net.http import HttpRequest, ResourceType
 from repro.staticlint.diagnostics import Diagnostic, LintReport, Severity
 from repro.staticlint.filterlint import analyze_filter_lists
@@ -191,7 +191,7 @@ def cross_validate_receivers(
     ws_covered = set(analysis.ws_covered_domains)
     blindspots = set(analysis.blindspot_domains)
 
-    engine = FilterEngine(lists)
+    engine = CompiledFilterEngine(lists)
     extension = AdBlockerExtension(engine, websocket_aware=websocket_aware)
     patterns = (
         ("http://*", "https://*", "ws://*", "wss://*")

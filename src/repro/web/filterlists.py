@@ -29,7 +29,6 @@ from typing import Sequence
 from repro.filters import (
     SCHEME_RE,
     CompiledFilterEngine,
-    FilterEngine,
     FilterList,
     FilterRule,
     parse_filter_list,
@@ -111,18 +110,9 @@ def build_filter_lists(registry: CompanyRegistry) -> list[FilterList]:
     ]
 
 
-def build_filter_engine(
-    registry: CompanyRegistry, *, compiled: bool = True
-) -> CompiledFilterEngine | FilterEngine:
-    """The blocking engine over EasyList + EasyPrivacy.
-
-    Compiled by default (identical verdicts, faster); pass
-    ``compiled=False`` for the interpreted reference engine.
-    """
-    lists = build_filter_lists(registry)
-    if compiled:
-        return CompiledFilterEngine(lists)
-    return FilterEngine(lists)
+def build_filter_engine(registry: CompanyRegistry) -> CompiledFilterEngine:
+    """The blocking engine over EasyList + EasyPrivacy."""
+    return CompiledFilterEngine(build_filter_lists(registry))
 
 
 # --------------------------------------------------------------------------

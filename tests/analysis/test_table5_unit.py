@@ -6,7 +6,7 @@ from repro.analysis.classify import SocketView
 from repro.analysis.table5 import compute_table5
 from repro.content.items import ReceivedClass, SentItem
 from repro.crawler.dataset import SocketRecord, StudyDataset
-from repro.filters import FilterEngine, parse_filter_list
+from repro.filters import CompiledFilterEngine, parse_filter_list
 from repro.labeling.aa_labeler import AaLabeler
 from repro.labeling.resolver import DomainResolver
 
@@ -14,7 +14,7 @@ CF = "d10lpsik1i8c69.cloudfront.net"
 
 
 def _dataset():
-    engine = FilterEngine([parse_filter_list("t", "||tracker.example^")])
+    engine = CompiledFilterEngine([parse_filter_list("t", "||tracker.example^")])
     dataset = StudyDataset(engine=engine)
     dataset.http_requests_by_host.update({
         "px.tracker.example": 10,       # A&A

@@ -12,7 +12,7 @@ from repro.browser import Browser
 from repro.cdp import EventBus
 from repro.experiments import StudyConfig
 from repro.experiments.runner import analyze, run_crawls
-from repro.filters import FilterEngine, parse_filter_list
+from repro.filters import CompiledFilterEngine, parse_filter_list
 from repro.web.filterlists import build_filter_engine
 from repro.web.registry import default_registry
 from repro.web.server import SyntheticWeb, WebScale
@@ -78,4 +78,4 @@ def simple_engine():
         "@@||ads.example/acceptable/*$script",
         "/banner/$image",
     ])
-    return FilterEngine([parse_filter_list("test", text)])
+    return CompiledFilterEngine([parse_filter_list("test", text)])

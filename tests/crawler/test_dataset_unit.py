@@ -2,12 +2,12 @@
 
 from repro.crawler.dataset import ChainSignature, StudyDataset
 from repro.crawler.observation import PageObservation, ResourceObservation
-from repro.filters import FilterEngine, parse_filter_list
+from repro.filters import CompiledFilterEngine, parse_filter_list
 from repro.net.http import ResourceType
 
 
 def _dataset():
-    engine = FilterEngine([parse_filter_list("t", "||ads.example^")])
+    engine = CompiledFilterEngine([parse_filter_list("t", "||ads.example^")])
     return StudyDataset(engine=engine)
 
 

@@ -1,10 +1,13 @@
-"""Tests for socket-record archiving and the checkpoint journal."""
+"""Tests for socket-record archiving and journal entries.
+
+The journal itself (:class:`repro.spool.SpoolJournal`) is tested in
+``tests/spool/test_journal.py``.
+"""
 
 from repro.content.items import ReceivedClass, SentItem
 from repro.crawler.crawler import CrawlConfig, CrawlRunSummary
 from repro.crawler.dataset import SocketRecord
 from repro.crawler.persistence import (
-    CrawlCheckpoint,
     SiteCheckpoint,
     load_socket_records,
     save_socket_records,
@@ -79,33 +82,7 @@ def test_real_dataset_round_trips(tiny_study, tmp_path):
     assert load_socket_records(path) == records
 
 
-# -- checkpoint journal ---------------------------------------------------
-
-
-def test_checkpoint_journal_round_trips(tmp_path):
-    path = tmp_path / "ckpt.jsonl"
-    journal = CrawlCheckpoint(path)
-    assert len(journal) == 0
-    entry = SiteCheckpoint(crawl=1, domain="pub.com", rank=42,
-                           status="ok", pages=15, sockets=3)
-    journal.record(entry)
-    reopened = CrawlCheckpoint(path)
-    assert len(reopened) == 1
-    assert reopened.get(1, "pub.com") == entry
-    assert reopened.get(0, "pub.com") is None
-
-
-def test_checkpoint_appends_across_opens(tmp_path):
-    path = tmp_path / "ckpt.jsonl"
-    first = CrawlCheckpoint(path)
-    first.record(SiteCheckpoint(crawl=0, domain="a.com", rank=1,
-                                status="ok", pages=2, sockets=0))
-    second = CrawlCheckpoint(path)
-    second.record(SiteCheckpoint(crawl=0, domain="b.com", rank=2,
-                                 status="quarantined", pages=1, sockets=0))
-    third = CrawlCheckpoint(path)
-    assert len(third) == 2
-    assert third.get(0, "b.com").status == "quarantined"
+# -- journal entries ------------------------------------------------------
 
 
 def test_checkpoint_restore_folds_into_summary(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.browser import Browser
 from repro.extension.workaround import WebSocketWrapperWorkaround
-from repro.filters import FilterEngine, parse_filter_list
+from repro.filters import CompiledFilterEngine, parse_filter_list
 from repro.net.http import ResourceType
 from repro.web.blueprint import PageBlueprint, ResourceNode, SocketPlan
 
@@ -12,7 +12,7 @@ PAGE = "https://pub.example/"
 
 
 def _engine():
-    return FilterEngine([
+    return CompiledFilterEngine([
         parse_filter_list("test", "||socketspy.example^$websocket")
     ])
 

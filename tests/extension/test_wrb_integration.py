@@ -7,7 +7,7 @@ in a patched browser has the socket blocked.
 
 from repro.browser import Browser
 from repro.extension.adblocker import AdBlockerExtension
-from repro.filters import FilterEngine, parse_filter_list
+from repro.filters import CompiledFilterEngine, parse_filter_list
 from repro.web.blueprint import PageBlueprint, ResourceNode, SocketPlan
 
 PAGE = "https://pub.example.com/"
@@ -29,7 +29,7 @@ def _page():
 
 
 def _blocker():
-    engine = FilterEngine([parse_filter_list("easylist", LIST_TEXT)])
+    engine = CompiledFilterEngine([parse_filter_list("easylist", LIST_TEXT)])
     return AdBlockerExtension(engine, websocket_aware=True)
 
 
@@ -52,7 +52,7 @@ def test_patched_browser_blocks_socket():
 
 def test_patched_browser_with_http_only_patterns_still_bypassed():
     browser = Browser(version=58)
-    engine = FilterEngine([parse_filter_list("easylist", LIST_TEXT)])
+    engine = CompiledFilterEngine([parse_filter_list("easylist", LIST_TEXT)])
     AdBlockerExtension(engine, websocket_aware=False).install(
         browser.webrequest
     )
@@ -62,7 +62,7 @@ def test_patched_browser_with_http_only_patterns_still_bypassed():
 
 def test_blocked_script_kills_whole_subtree():
     browser = Browser(version=58)
-    engine = FilterEngine([
+    engine = CompiledFilterEngine([
         parse_filter_list("easylist", "||sneakyhost.example^")
     ])
     AdBlockerExtension(engine, websocket_aware=True).install(

@@ -6,13 +6,13 @@ import pytest
 
 from repro.cli import _study_exit_code
 from repro.crawler import CrawlConfig, Crawler, CrawlRunSummary, RetryPolicy
-from repro.crawler.persistence import CrawlCheckpoint
 from repro.faults import (
     FLAKY_PROFILE,
     NONE_PROFILE,
     FaultInjector,
     FaultProfile,
 )
+from repro.spool import SpoolJournal, SpoolStore
 
 CONFIG = CrawlConfig(index=0, label="Apr 02-05, 2017", chrome_major=57,
                      start_date="2017-04-02", pages_per_site=4)
@@ -33,6 +33,14 @@ def _summary_key(summary: CrawlRunSummary):
             summary.pages_failed, summary.page_retries,
             summary.sites_quarantined, summary.sockets_partial,
             summary.errors, summary.sites)
+
+
+def _journal(root) -> SpoolJournal:
+    return SpoolJournal(SpoolStore.open(root), {})
+
+
+def _journal_bytes(root) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in root.iterdir()}
 
 
 def _run(tiny_web, sites, profile=None, retry=None, observers=(),
@@ -121,35 +129,37 @@ def test_orphaned_sockets_counted_not_fatal(tiny_web, sites):
 
 
 def test_checkpoint_resume_replays_completed_sites(tiny_web, sites, tmp_path):
-    path = tmp_path / "ckpt.jsonl"
+    path = tmp_path / "spool"
     seen_first: list = []
+    journal = _journal(path)
     first, _ = _run(tiny_web, sites, FLAKY_PROFILE,
                     observers=[seen_first.append],
-                    checkpoint=CrawlCheckpoint(path))
+                    checkpoint=journal)
+    journal.store.seal_active()  # as a finished study does
     assert seen_first  # the first run actually crawled
-    journal_bytes = path.read_bytes()
+    journal_bytes = _journal_bytes(path)
     seen_second: list = []
     second, _ = _run(tiny_web, sites, FLAKY_PROFILE,
                      observers=[seen_second.append],
-                     checkpoint=CrawlCheckpoint(path))
+                     checkpoint=_journal(path))
     # Nothing was re-crawled (the journal gained no entries), but every
     # journaled observation replayed into the observers in order — so a
     # resumed study's dataset matches an uninterrupted one.
-    assert path.read_bytes() == journal_bytes
+    assert _journal_bytes(path) == journal_bytes
     assert seen_second == seen_first
     assert _summary_key(second) == _summary_key(first)
 
 
 def test_checkpoint_partial_resume_continues(tiny_web, sites, tmp_path):
-    path = tmp_path / "ckpt.jsonl"
+    path = tmp_path / "spool"
     full, _ = _run(tiny_web, sites, FLAKY_PROFILE)
     _run(tiny_web, sites[:3], FLAKY_PROFILE,
-         checkpoint=CrawlCheckpoint(path))  # interrupt after 3 sites
+         checkpoint=_journal(path))  # interrupt after 3 sites
     resumed, _ = _run(tiny_web, sites, FLAKY_PROFILE,
-                      checkpoint=CrawlCheckpoint(path))
+                      checkpoint=_journal(path))
     assert resumed.sites == full.sites
     assert resumed.pages_visited == full.pages_visited
-    assert len(CrawlCheckpoint(path)) == len(sites)
+    assert len(_journal(path)) == len(sites)
 
 
 def test_exit_code_flags_total_degradation():

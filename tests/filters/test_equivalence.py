@@ -1,7 +1,6 @@
-"""The three-matcher equivalence contract, property-tested.
+"""The engine ≡ specification contract, property-tested.
 
 ``linear_match`` (brute force) is the executable specification;
-:class:`FilterEngine` (interpreted token index) and
 :class:`CompiledFilterEngine` (compiled index: least-loaded tokens,
 host trie lane, bit-mask pre-filters) must return the same verdict AND
 the same decisive rules for every request. This suite pins that with
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.filters.compiled import CompiledFilterEngine
-from repro.filters.engine import FilterEngine, linear_match
+from repro.filters.engine import linear_match
 from repro.filters.parser import parse_filter_list
 from repro.net.http import ResourceType
 from repro.web.filterlists import generate_filter_lists, generate_request_corpus
@@ -31,25 +30,18 @@ def _lists(*lines):
     return [parse_filter_list("t", "\n".join(lines))]
 
 
-def _triple(lists, url, rtype, page):
-    interp = FilterEngine(lists).match(url, rtype, page)
-    comp = CompiledFilterEngine(lists).match(url, rtype, page)
-    linear = linear_match(lists, url, rtype, page)
-    return interp, comp, linear
-
-
 def _assert_agree(lists, url, rtype, page):
-    interp, comp, linear = _triple(lists, url, rtype, page)
-    for result in (interp, comp):
-        assert result.blocked == linear.blocked, (url, rtype, page)
-        # Decisive-rule identity: same FilterRule *instances*, since all
-        # three matchers consume the same parsed lists.
-        assert result.rule is linear.rule, (url, rtype, page)
-        assert result.exception_rule is linear.exception_rule, (
-            url, rtype, page,
-        )
-        if linear.rule is not None or linear.exception_rule is not None:
-            assert result.list_name == linear.list_name
+    result = CompiledFilterEngine(lists).match(url, rtype, page)
+    linear = linear_match(lists, url, rtype, page)
+    assert result.blocked == linear.blocked, (url, rtype, page)
+    # Decisive-rule identity: same FilterRule *instances*, since both
+    # matchers consume the same parsed lists.
+    assert result.rule is linear.rule, (url, rtype, page)
+    assert result.exception_rule is linear.exception_rule, (
+        url, rtype, page,
+    )
+    if linear.rule is not None or linear.exception_rule is not None:
+        assert result.list_name == linear.list_name
     return linear
 
 
@@ -90,8 +82,8 @@ class TestTokenBugRegressions:
         """Breaker-bounded runs are reliable — the fix must not dump
         every rule into the generic bucket."""
         lists = _lists("/banner/ads.gif")
-        engine = FilterEngine(lists)
-        assert engine._blocks._generic == []
+        engine = CompiledFilterEngine(lists)
+        assert engine._blocks._generic == {}
         linear = _assert_agree(
             lists, "https://x.example/banner/ads.gif",
             ResourceType.IMAGE, PAGE,
@@ -233,20 +225,17 @@ _rtype = st.sampled_from(list(ResourceType))
     st.lists(st.tuples(_url, _rtype, _page), min_size=1, max_size=4),
 )
 @settings(max_examples=200, deadline=None)
-def test_compiled_interpreted_linear_agree(lines, requests):
+def test_compiled_linear_agree(lines, requests):
     lists = _lists(*lines)
-    interp = FilterEngine(lists)
     comp = CompiledFilterEngine(lists)
     for url, rtype, page in requests:
-        a = interp.match(url, rtype, page)
-        b = comp.match(url, rtype, page)
+        result = comp.match(url, rtype, page)
         c = linear_match(lists, url, rtype, page)
-        for result in (a, b):
-            assert result.blocked == c.blocked, (lines, url, rtype, page)
-            assert result.rule is c.rule, (lines, url, rtype, page)
-            assert result.exception_rule is c.exception_rule, (
-                lines, url, rtype, page,
-            )
+        assert result.blocked == c.blocked, (lines, url, rtype, page)
+        assert result.rule is c.rule, (lines, url, rtype, page)
+        assert result.exception_rule is c.exception_rule, (
+            lines, url, rtype, page,
+        )
 
 
 @given(
@@ -325,16 +314,11 @@ class _LegacyEngine:
 
 def test_generated_10k_list_equivalence(generated_10k):
     lists, corpus = generated_10k
-    interp = FilterEngine(lists)
     comp = CompiledFilterEngine(lists)
     blocked = 0
     for url, rtype, page in corpus:
-        a = interp.match(url, rtype, page)
         b = comp.match(url, rtype, page)
         c = linear_match(lists, url, rtype, page)
-        assert (a.blocked, a.rule, a.exception_rule) == (
-            c.blocked, c.rule, c.exception_rule,
-        ), (url, rtype, page)
         assert (b.blocked, b.rule, b.exception_rule) == (
             c.blocked, c.rule, c.exception_rule,
         ), (url, rtype, page)

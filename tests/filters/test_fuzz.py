@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.filters.engine import FilterEngine
+from repro.filters.compiled import CompiledFilterEngine
 from repro.filters.parser import parse_filter_line, parse_filter_list
 from repro.net.http import ResourceType
 
@@ -26,7 +26,7 @@ def test_parse_filter_line_never_crashes(line):
 @settings(max_examples=50)
 def test_engine_from_fuzzed_list_never_crashes(lines):
     parsed = parse_filter_list("fuzz", "\n".join(lines))
-    engine = FilterEngine([parsed])
+    engine = CompiledFilterEngine([parsed])
     engine.match("https://example.com/x?y=1", ResourceType.SCRIPT,
                  "https://pub.example/")
     engine.match("wss://example.com/socket", ResourceType.WEBSOCKET,
@@ -41,7 +41,7 @@ def test_engine_from_fuzzed_list_never_crashes(lines):
 def test_domain_anchor_invariant(domain, path):
     """``||domain^`` blocks every URL on the domain and its subdomains,
     and nothing on unrelated domains."""
-    engine = FilterEngine([parse_filter_list("t", f"||{domain}^")])
+    engine = CompiledFilterEngine([parse_filter_list("t", f"||{domain}^")])
     page = "https://unrelated-party.example/"
     assert engine.would_block(f"https://{domain}{path}",
                               ResourceType.SCRIPT, page)
@@ -55,7 +55,7 @@ def test_domain_anchor_invariant(domain, path):
 @settings(max_examples=100)
 def test_exception_always_wins(domain):
     text = f"||{domain}^\n@@||{domain}/allowed/"
-    engine = FilterEngine([parse_filter_list("t", text)])
+    engine = CompiledFilterEngine([parse_filter_list("t", text)])
     page = "https://pub.example/"
     assert engine.would_block(f"https://{domain}/x", ResourceType.SCRIPT, page)
     assert not engine.would_block(f"https://{domain}/allowed/x",

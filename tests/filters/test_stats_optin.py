@@ -9,12 +9,7 @@ nothing; a caller-owned ``EngineStats`` routes the charge there.
 
 import threading
 
-from repro.filters import (
-    CompiledFilterEngine,
-    EngineStats,
-    FilterEngine,
-    parse_filter_list,
-)
+from repro.filters import CompiledFilterEngine, EngineStats, parse_filter_list
 from repro.net.http import ResourceType
 
 LIST_TEXT = """\
@@ -25,9 +20,8 @@ LIST_TEXT = """\
 """
 
 
-def _engines():
-    lists = [parse_filter_list("unit", LIST_TEXT)]
-    return FilterEngine(lists), CompiledFilterEngine(lists)
+def _engine():
+    return CompiledFilterEngine([parse_filter_list("unit", LIST_TEXT)])
 
 
 def _snapshot(stats: EngineStats) -> tuple[int, int, int]:
@@ -36,64 +30,62 @@ def _snapshot(stats: EngineStats) -> tuple[int, int, int]:
 
 class TestOptInRecording:
     def test_default_records_into_engine_stats(self):
-        for engine in _engines():
-            verdict = engine.match(
-                "https://ads.example/x.js", ResourceType.SCRIPT, ""
-            )
-            assert verdict.blocked
-            assert engine.stats.matches == 1
-            assert engine.stats.blocked == 1
+        engine = _engine()
+        verdict = engine.match(
+            "https://ads.example/x.js", ResourceType.SCRIPT, ""
+        )
+        assert verdict.blocked
+        assert engine.stats.matches == 1
+        assert engine.stats.blocked == 1
 
     def test_stats_none_is_read_only(self):
-        for engine in _engines():
-            blocked = engine.match(
-                "https://ads.example/x.js", ResourceType.SCRIPT, "",
-                stats=None,
-            )
-            rescued = engine.match(
-                "https://ads.example/allowed.js", ResourceType.SCRIPT, "",
-                stats=None,
-            )
-            assert blocked.blocked and not rescued.blocked
-            assert _snapshot(engine.stats) == (0, 0, 0)
+        engine = _engine()
+        blocked = engine.match(
+            "https://ads.example/x.js", ResourceType.SCRIPT, "",
+            stats=None,
+        )
+        rescued = engine.match(
+            "https://ads.example/allowed.js", ResourceType.SCRIPT, "",
+            stats=None,
+        )
+        assert blocked.blocked and not rescued.blocked
+        assert _snapshot(engine.stats) == (0, 0, 0)
 
     def test_caller_owned_stats_receive_the_charge(self):
-        for engine in _engines():
-            own = EngineStats()
-            engine.match(
-                "https://ads.example/x.js", ResourceType.SCRIPT, "",
-                stats=own,
-            )
-            engine.match(
-                "https://ads.example/allowed.js", ResourceType.SCRIPT, "",
-                stats=own,
-            )
-            assert own.matches == 2
-            assert own.blocked == 1
-            assert own.exception_overrides == 1
-            assert _snapshot(engine.stats) == (0, 0, 0)
+        engine = _engine()
+        own = EngineStats()
+        engine.match(
+            "https://ads.example/x.js", ResourceType.SCRIPT, "",
+            stats=own,
+        )
+        engine.match(
+            "https://ads.example/allowed.js", ResourceType.SCRIPT, "",
+            stats=own,
+        )
+        assert own.matches == 2
+        assert own.blocked == 1
+        assert own.exception_overrides == 1
+        assert _snapshot(engine.stats) == (0, 0, 0)
 
     def test_verdicts_identical_across_stats_modes(self):
-        for engine in _engines():
-            urls = (
-                "https://ads.example/x.js",
-                "https://ads.example/allowed.js",
-                "https://clean.example/app.js",
-                "https://cdn.example/banner/ad.gif",
+        engine = _engine()
+        urls = (
+            "https://ads.example/x.js",
+            "https://ads.example/allowed.js",
+            "https://clean.example/app.js",
+            "https://cdn.example/banner/ad.gif",
+        )
+        for url in urls:
+            default = engine.match(url, ResourceType.SCRIPT, "")
+            silent = engine.match(url, ResourceType.SCRIPT, "", stats=None)
+            assert (default.blocked, default.matched) == (
+                silent.blocked, silent.matched
             )
-            for url in urls:
-                default = engine.match(url, ResourceType.SCRIPT, "")
-                silent = engine.match(
-                    url, ResourceType.SCRIPT, "", stats=None
-                )
-                assert (default.blocked, default.matched) == (
-                    silent.blocked, silent.matched
-                )
 
 
 class TestConcurrentMatching:
     def test_threads_with_stats_none_never_touch_shared_state(self):
-        _, engine = _engines()
+        engine = _engine()
         urls = [
             "https://ads.example/x.js",
             "https://ads.example/allowed.js",

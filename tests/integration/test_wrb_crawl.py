@@ -16,7 +16,7 @@ from repro.browser import Browser
 from repro.crawler.crawler import CrawlConfig, Crawler
 from repro.extension.adblocker import AdBlockerExtension
 from repro.web.filterlists import build_easyprivacy_text
-from repro.filters import FilterEngine, parse_filter_list
+from repro.filters import CompiledFilterEngine, parse_filter_list
 
 
 def _ws_rules(registry):
@@ -57,7 +57,7 @@ def test_wrb_circumvention_ordering(tiny_web, socket_sites):
     engine_text = _ws_rules(tiny_web.registry)
 
     def blocker(ws_aware):
-        engine = FilterEngine([parse_filter_list("easyprivacy", engine_text)])
+        engine = CompiledFilterEngine([parse_filter_list("easyprivacy", engine_text)])
         return AdBlockerExtension(engine, websocket_aware=ws_aware)
 
     baseline = _crawl(tiny_web, socket_sites, version=57, blocker=None)

@@ -87,6 +87,15 @@ def test_records_for_payload_carries_provenance():
     assert record.to_json()["version"] == 1
 
 
+def test_records_for_payload_keeps_only_gated_metrics():
+    # Counts and _pct ratios have no perf semantics: the gate never
+    # reads them, so they stay in the BENCH_*.json payload only.
+    records = records_for_payload(
+        "b", {"x_seconds": 1.0, "rows": 12, "overhead_pct": 3.5}
+    )
+    assert [r.metric for r in records] == ["x_seconds"]
+
+
 # -- store round-trip -------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Checkpoint resume at the study level: kill mid-crawl, resume, compare.
+"""Journal resume at the study level: kill mid-crawl, resume, compare.
 
 The resume bug this pins: restored sites must replay their journaled
 observations into the dataset observers, or a resumed study silently
@@ -18,9 +18,10 @@ from repro.analysis.classify import classify_sockets
 from repro.analysis.report import render_table1
 from repro.analysis.table1 import compute_table1
 from repro.crawler.crawler import CrawlAccountant
-from repro.crawler.persistence import CrawlCheckpoint, save_socket_records
+from repro.crawler.persistence import save_socket_records
 from repro.experiments.runner import run_crawls
 from repro.obs import Obs
+from repro.spool import SpoolJournal, SpoolStore
 from tests.conftest import TINY_STUDY_CONFIG
 
 CONFIG = dataclasses.replace(TINY_STUDY_CONFIG, crawls=(0,),
@@ -41,15 +42,19 @@ def _table1_text(dataset) -> str:
     return render_table1(compute_table1(views, dataset.meta))
 
 
+def _journal(root) -> SpoolJournal:
+    return SpoolJournal(SpoolStore.open(root), {})
+
+
 class _Killed(RuntimeError):
     pass
 
 
 @pytest.fixture(scope="module")
 def resumed(tiny_web, tmp_path_factory):
-    """Kill a checkpointed run mid-crawl, then resume it."""
+    """Kill a journaled run mid-crawl, then resume it."""
     tmp = tmp_path_factory.mktemp("resume")
-    journal = tmp / "ckpt.jsonl"
+    journal = tmp / "spool"
     real = CrawlAccountant.record_site
     done = 0
 
@@ -64,14 +69,14 @@ def resumed(tiny_web, tmp_path_factory):
     try:
         with pytest.raises(_Killed):
             run_crawls(tiny_web, CONFIG,
-                       checkpoint=CrawlCheckpoint(journal))
+                       checkpoint=_journal(journal))
     finally:
         CrawlAccountant.record_site = real
-    assert KILL_AFTER <= len(CrawlCheckpoint(journal)) < len(
+    assert KILL_AFTER <= len(_journal(journal)) < len(
         tiny_web.seed_list.sites
     )
     dataset, summaries = run_crawls(tiny_web, CONFIG,
-                                    checkpoint=CrawlCheckpoint(journal))
+                                    checkpoint=_journal(journal))
     return {"journal": journal, "dataset": dataset,
             "summaries": summaries, "tmp": tmp}
 
@@ -92,7 +97,7 @@ def test_fully_restored_run_emits_final_progress(tiny_web, resumed):
     obs = Obs()
     dataset, summaries = run_crawls(
         tiny_web, CONFIG, obs=obs,
-        checkpoint=CrawlCheckpoint(resumed["journal"]),
+        checkpoint=_journal(resumed["journal"]),
     )
     assert summaries[0].sites_visited == len(tiny_web.seed_list.sites)
     progress = [e for e in obs.summary().events

@@ -9,7 +9,7 @@ engine without the rule and re-match every probe.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.filters.engine import FilterEngine
+from repro.filters.compiled import CompiledFilterEngine
 from repro.filters.parser import parse_filter_list
 from repro.staticlint.filterlint import analyze_filter_lists
 from repro.staticlint.probes import UrlUniverse
@@ -41,7 +41,7 @@ def rule_sets(draw):
 
 
 def _decisions(lists, universe: UrlUniverse) -> list[bool]:
-    engine = FilterEngine(lists)
+    engine = CompiledFilterEngine(lists)
     return [
         engine.would_block(
             probe.url, probe.resource_type, probe.first_party_url

@@ -15,14 +15,6 @@ def test_check_blocked(capsys):
     assert "BLOCKED by easylist" in out and "/ads/tag.js" in out
 
 
-def test_check_engines_agree(capsys):
-    url = "https://securepubads.doubleclick.net/ads/tag.js"
-    assert main(["check", url, "--engine", "compiled"]) == 0
-    compiled_out = capsys.readouterr().out
-    assert main(["check", url, "--engine", "interpreted"]) == 0
-    assert capsys.readouterr().out == compiled_out
-
-
 def test_check_allowed(capsys):
     assert main(["check", "https://cdn.intercom.io/widget/chat.js"]) == 0
     assert "allowed" in capsys.readouterr().out
