@@ -11,12 +11,13 @@ Measures, at the configured bench preset,
 * **import** into a v2 dataset file; and
 * **incremental analysis**: after growing the spool by the tail of
   crawl 2 (~the last half of its segments — the growth shape that
-  keeps the derived A&A label set stable), ``run_incremental`` must
-  decode and fold only the new records. The gated invariant is the
-  *work* ratio — views folded over total records stays ≤ 0.25 — not
-  wall-clock: at bench scales the full sweep is already sub-second,
-  dominated by file-open and labeling fixed costs that incremental
-  pays too, so wall parity is expected and only sanity-bounded here.
+  keeps the derived A&A label set stable), ``AnalysisEngine.run`` with
+  the spool's slices and a state cache must decode and fold only the
+  new records. The gated invariant is the *work* ratio — views folded
+  over total records stays ≤ 0.25 — not wall-clock: at bench scales
+  the full sweep is already sub-second, dominated by file-open and
+  labeling fixed costs that incremental pays too, so wall parity is
+  expected and only sanity-bounded here.
 
 Results land in ``results/bench/BENCH_SPOOL.json`` and feed the
 ``repro perf check`` history gate like every other bench.
@@ -26,7 +27,7 @@ import time
 
 from conftest import BENCH_CONFIG, write_bench_json
 
-from repro.analysis.cache import StateCache, labeler_fingerprint
+from repro.analysis.cache import StageCache, labeler_fingerprint
 from repro.analysis.engine import AnalysisEngine, DatasetSource
 from repro.analysis.stage import study_stages
 from repro.cli import _spool_slices
@@ -101,12 +102,12 @@ def test_spool_durability_and_incremental(tmp_path):
 
     dataset = tmp_path / "dataset.jsonl"
     _imp, import_seconds = _timed(lambda: import_spool(fine, dataset))
-    state_cache = StateCache(tmp_path / "state-cache")
+    state_cache = StageCache(tmp_path / "state-cache", kind="state")
     engine = AnalysisEngine(stages=study_stages())
-    cold, cold_seconds = _timed(lambda: engine.run_incremental(
+    cold, cold_seconds = _timed(lambda: engine.run(
         DatasetSource.from_file(dataset),
-        _spool_slices(fine, dataset),
-        state_cache,
+        slices=_spool_slices(fine, dataset),
+        state_cache=state_cache,
     ))
 
     for info in late:
@@ -114,10 +115,10 @@ def test_spool_durability_and_incremental(tmp_path):
     import_spool(fine, dataset)
 
     warm_slices = _spool_slices(fine, dataset)
-    warm, warm_seconds = _timed(lambda: engine.run_incremental(
+    warm, warm_seconds = _timed(lambda: engine.run(
         DatasetSource.from_file(dataset),
-        warm_slices,
-        state_cache,
+        slices=warm_slices,
+        state_cache=state_cache,
     ))
     full, full_seconds = _timed(
         lambda: AnalysisEngine(stages=study_stages()).run(

@@ -9,18 +9,15 @@ prose statistics; ``report`` renders fixed-width text tables.
 The streaming layer (:mod:`repro.analysis.engine`) folds every stage
 accumulator (:mod:`repro.analysis.stage`) in one O(views) sweep and
 serves unchanged stages from the content-addressed artifact cache
-(:mod:`repro.analysis.cache`). Underscore-prefixed modules
-(``repro.analysis._codecs``) are package-private — importing them from
-outside ``repro.analysis`` trips the ``API-PRIVATE`` lint.
+(:mod:`repro.analysis.cache`); given dataset slices and a state cache,
+the same sweep folds only the slices whose state is not cached.
+Underscore-prefixed modules (``repro.analysis._codecs``) are
+package-private — importing them from outside ``repro.analysis`` trips
+the ``API-PRIVATE`` lint.
 """
 
 from repro.analysis.blocking import BlockingStats, compute_blocking_stats
-from repro.analysis.cache import (
-    StageCache,
-    StateCache,
-    labeler_fingerprint,
-    stage_key,
-)
+from repro.analysis.cache import StageCache, labeler_fingerprint, stage_key
 from repro.analysis.classify import SocketView, classify_sockets
 from repro.analysis.drift import (
     InitiatorDrift,
@@ -31,7 +28,6 @@ from repro.analysis.engine import (
     AnalysisEngine,
     AnalysisResult,
     DatasetSource,
-    SegmentSlice,
     fold_shard,
     merge_stage_lists,
 )
@@ -50,6 +46,7 @@ from repro.analysis.table2 import Table2Row, compute_table2
 from repro.analysis.table3 import Table3Row, compute_table3
 from repro.analysis.table4 import Table4, Table4Row, compute_table4
 from repro.analysis.table5 import Table5, compute_table5
+from repro.crawler.persistence import SegmentSlice
 
 __all__ = [
     # Classification.
@@ -63,7 +60,6 @@ __all__ = [
     "SegmentSlice",
     "StageCache",
     "StageContext",
-    "StateCache",
     "default_stages",
     "fold_shard",
     "labeler_fingerprint",

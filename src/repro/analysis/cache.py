@@ -1,6 +1,6 @@
-"""Content-addressed cache for finalized stage artifacts.
+"""Content-addressed cache for stage artifacts and per-slice state.
 
-Every cache entry is addressed by a SHA-256 over
+Every artifact entry is addressed by a SHA-256 over
 
 * the dataset fingerprint (hash of the canonical dataset byte stream —
   see :func:`repro.crawler.persistence.dataset_fingerprint`),
@@ -12,7 +12,11 @@ configuration each mint a fresh key and force a recompute, while an
 unchanged ``repro analyze`` run is a pure cache hit. Entries are one
 small JSON file each under the cache root (``results/cache/`` by
 default), named ``<stage>-<key prefix>.json`` so the directory stays
-human-scannable.
+human-scannable. The same :class:`StageCache` also holds incremental
+analysis state (``kind="state"``): one stage's folded accumulator for
+one dataset slice, addressed by :func:`state_key` over the slice's
+line hash and the labeling environment instead of the dataset
+fingerprint.
 """
 
 from __future__ import annotations
@@ -46,18 +50,31 @@ def stage_key(fingerprint: str, stage: AnalysisStage) -> str:
 
 
 class StageCache:
-    """Load/store finalized stage artifacts by content address."""
+    """Load/store stage payloads by content address.
 
-    def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
+    ``kind="artifact"`` (the default) holds finalized artifacts under
+    :func:`stage_key`; ``kind="state"`` holds per-slice *accumulator*
+    state (:meth:`AnalysisStage.encode_state`) under :func:`state_key`
+    — the unit incremental analysis merges — in ``state-``-prefixed
+    files, so both kinds can share one directory.
+    """
+
+    def __init__(
+        self, root: str | Path = DEFAULT_CACHE_DIR, kind: str = "artifact"
+    ) -> None:
+        if kind not in ("artifact", "state"):
+            raise ValueError(f"unknown stage cache kind {kind!r}")
         self.root = Path(root)
+        self.kind = kind
         self.hits = 0
         self.misses = 0
 
     def _path(self, stage_name: str, key: str) -> Path:
-        return self.root / f"{stage_name}-{key[:16]}.json"
+        prefix = "state-" if self.kind == "state" else ""
+        return self.root / f"{prefix}{stage_name}-{key[:16]}.json"
 
     def load(self, stage_name: str, key: str) -> Any | None:
-        """The encoded artifact under ``key``, or ``None`` on a miss.
+        """The encoded payload under ``key``, or ``None`` on a miss.
 
         A corrupt or key-mismatched file (e.g. a truncated write or a
         16-hex-prefix collision) counts as a miss and is recomputed
@@ -77,21 +94,18 @@ class StageCache:
             self.misses += 1
             return None
         self.hits += 1
-        return payload["artifact"]
+        return payload[self.kind]
 
-    def store(
-        self, stage: AnalysisStage, key: str, encoded_artifact: Any
-    ) -> Path:
-        """Persist one stage's encoded artifact; returns its path."""
+    def store(self, stage: AnalysisStage, key: str, encoded: Any) -> Path:
+        """Persist one stage's encoded payload; returns its path."""
         path = self._path(stage.name, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "cache_format": CACHE_FORMAT_VERSION,
             "key": key,
             "stage": stage.name,
             "version": stage.version,
             "config": stage.config_token(),
-            "artifact": encoded_artifact,
+            self.kind: encoded,
         }
         atomic_write(
             path,
@@ -101,7 +115,7 @@ class StageCache:
         return path
 
 
-# -- the per-slice state cache (incremental analysis) ----------------------
+# -- per-slice state keys (incremental analysis) ---------------------------
 
 
 def labeler_fingerprint(
@@ -137,59 +151,3 @@ def state_key(
         f"config={stage.config_token()}",
     ))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-
-class StateCache:
-    """Load/store per-slice folded stage state by content address.
-
-    Same shape as :class:`StageCache` (one small JSON file per entry,
-    corrupt entries are misses), but holds encoded *accumulator* state
-    (:meth:`AnalysisStage.encode_state`) rather than finalized
-    artifacts — the unit the incremental engine merges.
-    """
-
-    def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, stage_name: str, key: str) -> Path:
-        return self.root / f"state-{stage_name}-{key[:16]}.json"
-
-    def load(self, stage_name: str, key: str) -> Any | None:
-        """The encoded state under ``key``, or ``None`` on a miss."""
-        path = self._path(stage_name, key)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("key") != key
-            or payload.get("cache_format") != CACHE_FORMAT_VERSION
-        ):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload["state"]
-
-    def store(
-        self, stage: AnalysisStage, key: str, encoded_state: Any
-    ) -> Path:
-        """Persist one slice's folded state; returns its path."""
-        path = self._path(stage.name, key)
-        payload = {
-            "cache_format": CACHE_FORMAT_VERSION,
-            "key": key,
-            "stage": stage.name,
-            "version": stage.version,
-            "config": stage.config_token(),
-            "state": encoded_state,
-        }
-        atomic_write(
-            path,
-            json.dumps(payload, sort_keys=True, separators=(",", ":"))
-            + "\n",
-        )
-        return path

@@ -17,26 +17,26 @@ Shard-parallel folding uses the same stages: :func:`fold_shard` builds
 shard-local partials and :func:`merge_stage_lists` folds them together
 without a barrier, byte-identical to a sequential fold.
 
-:meth:`AnalysisEngine.run_incremental` applies the same merge algebra
-along the *time* axis instead of the shard axis: a dataset grown by
-``repro spool import`` is described as an ordered list of
-:class:`SegmentSlice`\\ s (record ranges content-addressed by the hash
-of their canonical lines), each slice's per-stage folded state is
-cached in a :class:`~repro.analysis.cache.StateCache`, and re-analysis
-after new imports folds only the new slices — the old ones restore
-from cache without their records ever being re-read.
+:meth:`AnalysisEngine.run` applies the same merge algebra along the
+*time* axis: a dataset grown by ``repro spool import`` is described as
+an ordered list of :class:`~repro.crawler.persistence.SegmentSlice`\\ s
+(record ranges content-addressed by the hash of their canonical lines),
+each slice's per-stage folded state is cached in a ``kind="state"``
+:class:`~repro.analysis.cache.StageCache`, and re-analysis after new
+imports folds only the new slices — the old ones restore from cache
+without their records ever being re-read. A run without slices treats
+the whole record region as one slice.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.analysis.cache import (
     StageCache,
-    StateCache,
     labeler_fingerprint,
     stage_key,
     state_key,
@@ -48,34 +48,12 @@ from repro.analysis.stage import (
     default_stages,
 )
 from repro.crawler.dataset import DatasetMeta, SocketRecord, StudyDataset
+from repro.crawler.persistence import SegmentSlice
 from repro.labeling.aa_labeler import AaLabeler
 from repro.labeling.resolver import DomainResolver
 
 if TYPE_CHECKING:
     from repro.obs import Obs
-
-
-class DatasetSourceError(ValueError):
-    """A dataset source cannot be opened or fingerprinted."""
-
-
-@dataclass(frozen=True)
-class SegmentSlice:
-    """One contiguous record range of a dataset, content-addressed.
-
-    The spool importer appends each imported segment's records as a
-    contiguous run of dataset lines and journals the run as a slice:
-    the record-index range ``[start, stop)`` plus the SHA-256 over the
-    canonical record lines in that range. The hash — not the segment
-    file, which may since have been quota-evicted — is what addresses
-    the slice's cached per-stage state, so incremental analysis keeps
-    working after the spool itself is gone.
-    """
-
-    segment_id: str
-    start: int
-    stop: int
-    lines_sha: str
 
 
 @dataclass
@@ -91,28 +69,19 @@ class DatasetSource:
 
     dataset: StudyDataset
     meta: DatasetMeta
-    _records: Callable[[], Iterable[SocketRecord]]
+    _records: Callable[[int, int | None], Iterable[SocketRecord]]
     _fingerprint: Callable[[], str]
-    _ranged: (
-        Callable[[int, int | None], Iterable[SocketRecord]] | None
-    ) = None
     _cached_fingerprint: str | None = field(default=None, init=False)
 
-    def records(self) -> Iterable[SocketRecord]:
-        """A fresh iterable over the socket records."""
-        return self._records()
-
-    def records_range(
-        self, start: int, stop: int | None = None
+    def records(
+        self, start: int = 0, stop: int | None = None
     ) -> Iterable[SocketRecord]:
         """A fresh iterable over records ``[start, stop)``.
 
         File sources decode only the requested line range; in-memory
         sources slice the record list.
         """
-        if self._ranged is not None:
-            return self._ranged(start, stop)
-        return islice(self._records(), start, stop)
+        return self._records(start, stop)
 
     def fingerprint(self) -> str:
         """The dataset's content address (computed once, then cached)."""
@@ -128,7 +97,9 @@ class DatasetSource:
         return cls(
             dataset=dataset,
             meta=dataset.meta,
-            _records=lambda: iter(dataset.socket_records),
+            _records=lambda start, stop: islice(
+                dataset.socket_records, start, stop
+            ),
             _fingerprint=lambda: dataset_fingerprint(dataset),
         )
 
@@ -145,7 +116,6 @@ class DatasetSource:
             meta=reader.meta,
             _records=reader.iter_records,
             _fingerprint=reader.fingerprint,
-            _ranged=reader.iter_records,
         )
 
 
@@ -162,10 +132,10 @@ class AnalysisResult:
         cached: Stage names served from the cache.
         views_folded: Socket views classified by the sweep (0 when
             every stage hit the cache).
-        segments_folded: Dataset slices whose records were re-read and
-            folded by an incremental run (0 on the full path).
+        segments_folded: Dataset slices whose records the sweep read
+            (a run without ``slices`` has one).
         segments_cached: Dataset slices fully restored from the state
-            cache by an incremental run.
+            cache.
     """
 
     meta: DatasetMeta
@@ -207,12 +177,28 @@ class AnalysisEngine:
         self,
         source: DatasetSource,
         view_sink: Callable[[SocketView], None] | None = None,
+        slices: Sequence[SegmentSlice] = (),
+        state_cache: StageCache | None = None,
     ) -> AnalysisResult:
         """Classify once, fold every pending stage, finalize, cache.
 
         ``view_sink`` receives every classified view in record order
         (the study runner uses it to keep ``StudyResult.views``);
         passing ``None`` keeps the run memory-bounded.
+
+        ``slices`` must tile the record region in record order, without
+        gaps or overlaps — the spool import journal provides exactly
+        that (the CLI gap-fills synthetic base slices for records
+        predating the journal); without them the whole region is one
+        slice. Each slice folds into its own partials, which merge in
+        slice order and finalize — the same associative algebra
+        :func:`fold_shard`/:func:`merge_stage_lists` use for shard
+        parallelism, so the artifacts never depend on the tiling. A
+        ``state_cache`` (a ``kind="state"`` :class:`StageCache`)
+        restores every cached (slice, stage) state instead of folding
+        it and stores the ones it folds, so a slice's records are read
+        only when one of its states misses; a ``view_sink`` makes every
+        slice fold. Contiguous slices to fold share one ranged read.
         """
         with self._span("labeling"):
             labeler = source.dataset.derive_labeler()
@@ -242,25 +228,85 @@ class AnalysisEngine:
                 else:
                     pending.append(stage)
 
-        views_folded = 0
+        if not slices:
+            # The dataset fingerprint addresses the whole record region.
+            slices = (SegmentSlice(
+                "", 0, None,
+                source.fingerprint() if state_cache is not None else "",
+            ),)
+        if [entry.start for entry in slices] != [
+            0, *(entry.stop for entry in slices[:-1])
+        ]:
+            raise ValueError("slices must tile the record region in order")
+
+        # Per slice: its spawned partials, and the (stage, partial,
+        # state key) triples the sweep must fold — the state-cache misses.
+        plan: list[tuple[
+            SegmentSlice,
+            list[AnalysisStage],
+            list[tuple[AnalysisStage, AnalysisStage, str]],
+        ]] = []
+        views_folded = segments_folded = 0
         if pending or view_sink is not None:
+            labeler_fp = (
+                labeler_fingerprint(labeler, resolver)
+                if state_cache is not None else ""
+            )
+            for entry in slices:
+                partials = [stage.spawn() for stage in pending]
+                missing = []
+                for stage, partial in zip(pending, partials):
+                    key = state_key(entry.lines_sha, labeler_fp, stage)
+                    payload = (
+                        state_cache.load(stage.name, key)
+                        if state_cache is not None and view_sink is None
+                        else None
+                    )
+                    if payload is not None:
+                        partial.restore_state(payload)
+                    else:
+                        missing.append((stage, partial, key))
+                plan.append((entry, partials, missing))
+
             counts = dict.fromkeys(
                 ("views", "aa_sockets", "aa_initiated", "aa_received"), 0
             )
-            with self._span("classify"):
-                for record in source.records():
-                    view = classify_one(record, labeler, resolver)
-                    counts["views"] += 1
-                    if view.is_aa_socket:
-                        counts["aa_sockets"] += 1
-                    if view.aa_initiated:
-                        counts["aa_initiated"] += 1
-                    if view.aa_received:
-                        counts["aa_received"] += 1
-                    if view_sink is not None:
-                        view_sink(view)
-                    for stage in pending:
-                        stage.fold(view)
+            for read, group in groupby(
+                plan, key=lambda step: bool(step[2]) or view_sink is not None
+            ):
+                if not read:
+                    continue
+                run = list(group)
+                segments_folded += len(run)
+                with self._span("classify"):
+                    records = iter(source.records(
+                        run[0][0].start, run[-1][0].stop
+                    ))
+                    for entry, _, missing in run:
+                        targets = [partial for _, partial, _ in missing]
+                        size = (
+                            None if entry.stop is None
+                            else entry.stop - entry.start
+                        )
+                        for record in islice(records, size):
+                            view = classify_one(record, labeler, resolver)
+                            counts["views"] += 1
+                            if view.is_aa_socket:
+                                counts["aa_sockets"] += 1
+                            if view.aa_initiated:
+                                counts["aa_initiated"] += 1
+                            if view.aa_received:
+                                counts["aa_received"] += 1
+                            if view_sink is not None:
+                                view_sink(view)
+                            for partial in targets:
+                                partial.fold(view)
+                if state_cache is not None:
+                    for _, _, missing in run:
+                        for stage, partial, key in missing:
+                            state_cache.store(
+                                stage, key, partial.encode_state()
+                            )
             views_folded = counts["views"]
             if self.obs is not None:
                 metrics = self.obs.metrics
@@ -273,148 +319,7 @@ class AnalysisEngine:
                 len(labeler)
             )
 
-        for stage in pending:
-            with self._span(stage.name):
-                artifact = stage.finalize(ctx)
-            artifacts[stage.name] = artifact
-            if self.cache is not None:
-                self.cache.store(
-                    stage, keys[stage.name], stage.encode_artifact(artifact)
-                )
-
-        if self.obs is not None and self.cache is not None:
-            self.obs.metrics.counter("analysis.cache.hits").add(len(cached))
-            self.obs.metrics.counter("analysis.cache.misses").add(
-                len(pending)
-            )
-
-        return AnalysisResult(
-            meta=source.meta,
-            labeler=labeler,
-            resolver=resolver,
-            artifacts=artifacts,
-            computed=tuple(stage.name for stage in pending),
-            cached=tuple(cached),
-            views_folded=views_folded,
-        )
-
-    def run_incremental(
-        self,
-        source: DatasetSource,
-        slices: Sequence[SegmentSlice],
-        state_cache: StateCache,
-    ) -> AnalysisResult:
-        """Fold only the slices whose per-stage state is not cached.
-
-        ``slices`` must cover the source's record region, in record
-        order, without gaps or overlaps — the spool import journal
-        provides exactly that (the CLI gap-fills synthetic base slices
-        for records predating the journal). For every (slice, stage)
-        pair whose state key misses, the slice's records are decoded
-        once and folded into all missing stages together; cached pairs
-        restore without touching the records. Slice-local partials are
-        then merged in slice order and finalized — the same associative
-        algebra :func:`fold_shard`/:func:`merge_stage_lists` use for
-        shard parallelism, so the artifacts are identical to a full
-        :meth:`run`.
-        """
-        with self._span("labeling"):
-            labeler = source.dataset.derive_labeler()
-            resolver = source.dataset.derive_resolver(labeler)
-        ctx = StageContext(
-            meta=source.meta,
-            labeler=labeler,
-            resolver=resolver,
-            engine=source.dataset.engine,
-            dataset=source.dataset,
-        )
-
-        artifacts: dict[str, Any] = {}
-        cached: list[str] = []
-        keys: dict[str, str] = {}
-        pending = list(self.stages)
-        if self.cache is not None:
-            fingerprint = source.fingerprint()
-            pending = []
-            for stage in self.stages:
-                key = stage_key(fingerprint, stage)
-                keys[stage.name] = key
-                payload = self.cache.load(stage.name, key)
-                if payload is not None:
-                    artifacts[stage.name] = stage.decode_artifact(payload)
-                    cached.append(stage.name)
-                else:
-                    pending.append(stage)
-
-        views_folded = 0
-        segments_folded = 0
-        segments_cached = 0
-        merged: list[AnalysisStage] = [stage.spawn() for stage in pending]
-        if pending:
-            labeler_fp = labeler_fingerprint(labeler, resolver)
-            # Probe first: per slice, spawn partials, restore the
-            # cached (slice, stage) states, and note the missing ones.
-            plan: list[tuple[
-                SegmentSlice,
-                list[AnalysisStage],
-                list[tuple[AnalysisStage, AnalysisStage, str]],
-            ]] = []
-            for entry in slices:
-                partials = [stage.spawn() for stage in pending]
-                missing: list[tuple[AnalysisStage, AnalysisStage, str]] = []
-                for stage, partial in zip(pending, partials):
-                    key = state_key(entry.lines_sha, labeler_fp, stage)
-                    payload = state_cache.load(stage.name, key)
-                    if payload is not None:
-                        partial.restore_state(payload)
-                    else:
-                        missing.append((stage, partial, key))
-                if missing:
-                    segments_folded += 1
-                else:
-                    segments_cached += 1
-                plan.append((entry, partials, missing))
-
-            # Fold each contiguous run of missing slices in a single
-            # streaming pass — one ranged read per run, not per slice,
-            # so a cold start costs one sweep and a warm one only the
-            # new tail.
-            i = 0
-            while i < len(plan):
-                if not plan[i][2]:
-                    i += 1
-                    continue
-                j = i
-                while (
-                    j + 1 < len(plan)
-                    and plan[j + 1][2]
-                    and plan[j + 1][0].start == plan[j][0].stop
-                ):
-                    j += 1
-                run = plan[i:j + 1]
-                cursor = 0
-                index = run[0][0].start
-                with self._span("classify"):
-                    for record in source.records_range(
-                        run[0][0].start, run[-1][0].stop
-                    ):
-                        while index >= run[cursor][0].stop:
-                            cursor += 1
-                        view = classify_one(record, labeler, resolver)
-                        views_folded += 1
-                        for _, partial, _ in run[cursor][2]:
-                            partial.fold(view)
-                        index += 1
-                for _, _, missing in run:
-                    for stage, partial, key in missing:
-                        state_cache.store(
-                            stage, key, partial.encode_state()
-                        )
-                i = j + 1
-
-            for _, partials, _ in plan:
-                merge_stage_lists([merged, partials])
-
+        merged = merge_stage_lists([partials for _, partials, _ in plan])
         for stage in merged:
             with self._span(stage.name):
                 artifact = stage.finalize(ctx)
@@ -426,16 +331,16 @@ class AnalysisEngine:
 
         if self.obs is not None:
             metrics = self.obs.metrics
-            metrics.counter("analysis.incremental.slices_folded").add(
-                segments_folded
-            )
-            metrics.counter("analysis.incremental.slices_cached").add(
-                segments_cached
-            )
-            metrics.counter("analysis.views").add(views_folded)
             if self.cache is not None:
                 metrics.counter("analysis.cache.hits").add(len(cached))
                 metrics.counter("analysis.cache.misses").add(len(pending))
+            if state_cache is not None:
+                metrics.counter("analysis.incremental.slices_folded").add(
+                    segments_folded
+                )
+                metrics.counter("analysis.incremental.slices_cached").add(
+                    len(plan) - segments_folded
+                )
 
         return AnalysisResult(
             meta=source.meta,
@@ -446,7 +351,7 @@ class AnalysisEngine:
             cached=tuple(cached),
             views_folded=views_folded,
             segments_folded=segments_folded,
-            segments_cached=segments_cached,
+            segments_cached=len(plan) - segments_folded,
         )
 
 

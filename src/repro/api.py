@@ -16,9 +16,11 @@ Grouped exports:
   ``MatchResult``, ``EngineStats``, ``linear_match``,
   ``load_filter_engine``, ``build_filter_engine``,
   ``generate_filter_lists``).
-* **Analysis** — the streaming stage engine and the per-artifact entry
-  points (``AnalysisEngine``, ``DatasetSource``, ``StageCache``,
-  ``compute_table1`` …).
+* **Analysis** — the streaming stage engine, whose one ``run`` also
+  re-analyzes a grown dataset slice by slice, and the per-artifact
+  entry points (``AnalysisEngine``, ``DatasetSource``, ``SegmentSlice``,
+  ``StageCache`` for artifacts and per-slice state, ``compute_table1``
+  …).
 * **Labeling** — the paper's ``a(d) ≥ 0.1·n(d)`` derivation
   (``AaLabeler``, ``DomainTagCounter``).
 * **Serve** — the versioned query service (``SERVE_VERSION`` wire
@@ -34,7 +36,6 @@ from repro.analysis import (
     DatasetSource,
     SegmentSlice,
     StageCache,
-    StateCache,
     classify_sockets,
     compute_blocking_stats,
     compute_figure3,
@@ -122,7 +123,6 @@ __all__ = [
     "DatasetSource",
     "SegmentSlice",
     "StageCache",
-    "StateCache",
     "classify_sockets",
     "default_stages",
     "compute_table1",

@@ -245,9 +245,7 @@ def _spool_slices(spool_dir: str, dataset: str):
             slices.append(SegmentSlice(
                 f"base:{cursor}-{entry.start}", cursor, entry.start, sha
             ))
-        slices.append(SegmentSlice(
-            entry.segment_id, entry.start, entry.stop, entry.lines_sha
-        ))
+        slices.append(entry)
         cursor = entry.stop
     tail, sha = reader.record_range_sha(cursor, None)
     if tail:
@@ -262,7 +260,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         AnalysisEngine,
         DatasetSource,
         StageCache,
-        StateCache,
         default_stages,
     )
     from repro.util.serialization import dumps
@@ -275,6 +272,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 2
     cache = None if args.no_cache else StageCache(args.cache_dir)
     engine = AnalysisEngine(stages=default_stages(), cache=cache)
+    slices, state_cache = (), None
     if args.incremental:
         try:
             slices = _spool_slices(args.incremental, args.dataset)
@@ -282,17 +280,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"cannot build slices from spool "
                   f"{args.incremental!r}: {error}", file=sys.stderr)
             return 2
-        result = engine.run_incremental(
-            source, slices, StateCache(args.cache_dir)
+        state_cache = StageCache(args.cache_dir, kind="state")
+    result = engine.run(source, slices=slices, state_cache=state_cache)
+    if state_cache is not None and not args.quiet:
+        print(
+            f"segment folds: {result.segments_cached} cached, "
+            f"{result.segments_folded} folded",
+            file=sys.stderr,
         )
-        if not args.quiet:
-            print(
-                f"segment folds: {result.segments_cached} cached, "
-                f"{result.segments_folded} folded",
-                file=sys.stderr,
-            )
-    else:
-        result = engine.run(source)
     if args.json:
         payload = {
             "dataset": source.fingerprint(),

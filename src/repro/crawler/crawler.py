@@ -402,33 +402,21 @@ class Crawler:
             self.extension_installer(browser)
         return CrawlLane(clock=clock, bus=bus, gate=gate, browser=browser)
 
-    def run(
-        self,
-        sites: Iterable[Site] | None = None,
-        checkpoint: "CrawlJournal | None" = None,
-    ) -> CrawlRunSummary:
+    def run(self, sites: Iterable[Site] | None = None) -> CrawlRunSummary:
         """Crawl the given sites (default: the full seed list).
 
-        With a ``checkpoint``, sites already journaled for this crawl
-        are restored from the journal instead of re-crawled — their
-        observations replay into the observers — and each finished
-        site appends one journal entry, so an interrupted study
-        resumes where it stopped.
+        Always crawls every site: resuming from a journal is
+        shard-granular and lives in
+        :func:`repro.experiments.runner.run_crawls`.
         """
         lane = self.make_lane()
         site_list = list(sites) if sites is not None else self.web.seed_list.sites
         accountant = CrawlAccountant(
             self.config, len(site_list), observers=self.observers,
-            obs=self.obs, checkpoint=checkpoint,
-            progress_every=self.progress_every,
+            obs=self.obs, progress_every=self.progress_every,
         )
         with accountant:
             for site in site_list:
-                if checkpoint is not None:
-                    entry = checkpoint.get(self.config.index, site.domain)
-                    if entry is not None:
-                        accountant.restore_site(entry)
-                        continue
                 accountant.record_site(self.crawl_site(site, lane))
             accountant.finish(lane.stats(self.faults))
         return accountant.summary

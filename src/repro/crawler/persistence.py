@@ -7,7 +7,8 @@ dataset's aggregate counters, then every socket record — everything
 prose statistics without re-crawling (:func:`save_dataset` /
 :func:`open_dataset`). :func:`dataset_fingerprint` hashes the exact
 byte stream :func:`save_dataset` writes, so a live dataset and its
-saved file share one content address for the stage cache.
+saved file share one content address for the stage cache, and
+:class:`SegmentSlice` content-addresses a record range of one.
 
 This module also holds the crawl journal's entry type and codec
 (:class:`SiteCheckpoint`) and the interface the crawler resumes from
@@ -278,6 +279,46 @@ def file_fingerprint(path: str | Path) -> str:
     for line in iter_lines(path):
         hasher.update(line.encode("utf-8"))
     return hasher.hexdigest()
+
+
+@dataclass(frozen=True)
+class SegmentSlice:
+    """One contiguous record range of a dataset file, content-addressed.
+
+    The spool importer appends each imported segment's records as a
+    contiguous run of dataset lines and journals the run as a slice:
+    the record-index range ``[start, stop)`` (``stop=None``: through
+    the last record) plus ``lines_sha``, the SHA-256 over those
+    records' canonical JSONL lines, newlines included — the hash
+    :meth:`DatasetReader.record_range_sha` computes for any range. The
+    hash, not the segment file (which may since have been
+    quota-evicted), addresses the slice's cached per-stage analysis
+    state, so incremental analysis keeps working after the spool
+    itself is gone. ``to_json``/``from_json`` are the import journal's
+    slice codec.
+    """
+
+    segment_id: str
+    start: int
+    stop: int | None
+    lines_sha: str
+
+    def to_json(self) -> dict:
+        return {
+            "id": self.segment_id,
+            "start": self.start,
+            "stop": self.stop,
+            "lines_sha": self.lines_sha,
+        }
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "SegmentSlice":
+        return cls(
+            segment_id=payload["id"],
+            start=payload["start"],
+            stop=payload["stop"],
+            lines_sha=payload["lines_sha"],
+        )
 
 
 class DatasetReader:

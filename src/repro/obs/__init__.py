@@ -10,8 +10,8 @@ every stage of ``repro study`` a verifiable audit trail:
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters and
   histograms harvested from the filter engine, CDP bus, crawler, and
   ``chrome.webRequest`` simulation;
-* :class:`~repro.obs.recorder.TraceRecorder` — per-method CDP event
-  accounting and the JSONL trace file format;
+* :mod:`~repro.obs.recorder` — the JSONL trace file format
+  (:func:`write_trace` / :func:`read_trace`);
 * :func:`~repro.obs.report.render_obs_summary` — the per-stage
   timing/attribution report;
 * :mod:`~repro.obs.critical_path` / :mod:`~repro.obs.perf` — the
@@ -56,7 +56,6 @@ from repro.obs.perf import (
 )
 from repro.obs.recorder import (
     ObsSummary,
-    TraceRecorder,
     read_trace,
     write_metrics,
     write_trace,
@@ -83,10 +82,6 @@ class Obs:
     def event(self, name: str, **attrs) -> ObsEvent:
         """Log one structured event."""
         return self.tracer.event(name, **attrs)
-
-    def recorder_for(self, bus, keep_events: bool = False) -> TraceRecorder:
-        """A :class:`TraceRecorder` on ``bus`` sharing this clock."""
-        return TraceRecorder(bus, clock=self.clock, keep_events=keep_events)
 
     def summary(self, **meta) -> ObsSummary:
         """Freeze the current state into an :class:`ObsSummary`."""
@@ -122,7 +117,6 @@ __all__ = [
     "TickClock",
     "TraceDiff",
     "WallClock",
-    "TraceRecorder",
     "Tracer",
     "append_history",
     "build_flame",

@@ -1,8 +1,4 @@
-"""Trace recording: CDP-event accounting and the trace file format.
-
-:class:`TraceRecorder` subscribes on an :class:`~repro.cdp.bus.EventBus`
-and tallies every published event by CDP method (optionally retaining a
-compact ``(method, request_id, tick)`` sequence for ordering tests).
+"""The trace file format: :class:`ObsSummary` to JSONL and back.
 
 The trace file is JSONL (one self-describing record per line, compact
 separators, sorted keys — byte-identical across same-seed runs):
@@ -25,59 +21,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.cdp.bus import EventBus
-from repro.cdp.events import CdpEvent
 from repro.obs.tracer import ObsEvent, SpanAggregate, SpanRecord
 from repro.util.atomicio import atomic_write
 from repro.util.serialization import read_jsonl, write_jsonl
 
 TRACE_VERSION = 1
-
-
-class TraceRecorder:
-    """Counts (and optionally sequences) every event on a bus."""
-
-    def __init__(
-        self,
-        bus: EventBus | None = None,
-        clock=None,
-        keep_events: bool = False,
-    ) -> None:
-        self.by_method: dict[str, int] = {}
-        self.sequence: list[tuple[str, str, int]] = []
-        self.keep_events = keep_events
-        self._clock = clock
-        self._unsubscribe = None
-        if bus is not None:
-            self.attach(bus)
-
-    def attach(self, bus: EventBus) -> None:
-        """Start accounting events published on ``bus``."""
-        self.detach()
-        self._unsubscribe = bus.subscribe(self._on_event)
-
-    def detach(self) -> None:
-        """Stop accounting."""
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-
-    def _on_event(self, event: CdpEvent) -> None:
-        method = event.METHOD
-        self.by_method[method] = self.by_method.get(method, 0) + 1
-        tick = self._clock.tick() if self._clock is not None else 0
-        if self.keep_events:
-            request_id = getattr(event, "request_id", "")
-            self.sequence.append((method, request_id, tick))
-
-    @property
-    def total(self) -> int:
-        """Total events accounted."""
-        return sum(self.by_method.values())
-
-    def events_for(self, request_id: str) -> list[str]:
-        """Methods recorded for one request id, in publication order."""
-        return [m for m, rid, _ in self.sequence if rid == request_id]
 
 
 @dataclass

@@ -25,7 +25,6 @@ than ever dropping unimported records.
 from repro.spool.importer import (
     ImportResult,
     ImportState,
-    SliceEntry,
     import_spool,
 )
 from repro.spool.journal import SpoolJournal, shard_for_crawl
@@ -53,7 +52,6 @@ __all__ = [
     "RecoveryReport",
     "SegmentInfo",
     "SegmentWriter",
-    "SliceEntry",
     "SpoolCorruptionError",
     "SpoolCrash",
     "SpoolDiskFull",

@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.crawler.persistence import (
     DatasetReader,
+    SegmentSlice,
     dataset_preamble,
     entry_from_json,
     file_fingerprint,
@@ -83,39 +84,6 @@ def _fresh_dataset(engine: "CompiledFilterEngine | None") -> "StudyDataset":
     return StudyDataset(engine=engine or _default_engine())
 
 
-@dataclass(frozen=True)
-class SliceEntry:
-    """One imported segment's footprint in the dataset file.
-
-    ``start``/``stop`` index *socket records* (0-based over the file's
-    record region); ``lines_sha`` is the SHA-256 of those records'
-    canonical JSONL lines, newlines included — the content address
-    incremental analysis caches folded stage state under.
-    """
-
-    segment_id: str
-    start: int
-    stop: int
-    lines_sha: str
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.segment_id,
-            "start": self.start,
-            "stop": self.stop,
-            "lines_sha": self.lines_sha,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "SliceEntry":
-        return cls(
-            segment_id=payload["id"],
-            start=payload["start"],
-            stop=payload["stop"],
-            lines_sha=payload["lines_sha"],
-        )
-
-
 @dataclass
 class ImportState:
     """The validated import history of one spool directory."""
@@ -135,10 +103,10 @@ class ImportState:
         return ids
 
     @property
-    def slices(self) -> list[SliceEntry]:
+    def slices(self) -> list[SegmentSlice]:
         """Every committed slice, in dataset record order."""
         return [
-            SliceEntry.from_json(payload)
+            SegmentSlice.from_json(payload)
             for entry in self.entries
             for payload in entry["segments"]
         ]
@@ -376,7 +344,7 @@ def import_spool(
         "kind": "import",
         "fingerprint": result.fingerprint,
         "segments": [
-            SliceEntry(
+            SegmentSlice(
                 segment_id=segment_id,
                 start=base_records + start,
                 stop=base_records + stop,

@@ -4,11 +4,13 @@ Span timings and trace files must be **byte-identical across same-seed
 runs** (DESIGN.md §5 extends the calibration contract to telemetry), so
 the obs layer cannot read the host's monotonic clock. Instead it runs on
 a :class:`TickClock`: a counter that advances only when instrumented
-work happens — every metric increment, published CDP event, and span
-boundary charges one or more ticks. A span's duration in ticks is
-therefore a deterministic *work proxy*: the amount of instrumented
-activity that happened while the span was open, stable across hosts,
-Python versions, and ``PYTHONHASHSEED`` values.
+work happens — every metric increment and span boundary charges one or
+more ticks. A published CDP event charges none: the bus tallies events
+per method, and each crawl adds the tallies to its ``cdp.publish.*``
+counters when it finishes. A span's duration in ticks is therefore a
+deterministic *work proxy*: the amount of instrumented activity that
+happened while the span was open, stable across hosts, Python
+versions, and ``PYTHONHASHSEED`` values.
 
 For real before/after performance numbers (benchmarks, profiling
 sessions) the same interface is available over the host's performance

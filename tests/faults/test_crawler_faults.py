@@ -12,7 +12,6 @@ from repro.faults import (
     FaultInjector,
     FaultProfile,
 )
-from repro.spool import SpoolJournal, SpoolStore
 
 CONFIG = CrawlConfig(index=0, label="Apr 02-05, 2017", chrome_major=57,
                      start_date="2017-04-02", pages_per_site=4)
@@ -35,21 +34,11 @@ def _summary_key(summary: CrawlRunSummary):
             summary.errors, summary.sites)
 
 
-def _journal(root) -> SpoolJournal:
-    return SpoolJournal(SpoolStore.open(root), {})
-
-
-def _journal_bytes(root) -> dict[str, bytes]:
-    return {path.name: path.read_bytes() for path in root.iterdir()}
-
-
-def _run(tiny_web, sites, profile=None, retry=None, observers=(),
-         checkpoint=None):
+def _run(tiny_web, sites, profile=None, retry=None):
     injector = (FaultInjector(profile, CONFIG.seed, CONFIG.index)
                 if profile is not None else None)
-    crawler = Crawler(tiny_web, CONFIG, observers=observers,
-                      faults=injector, retry=retry)
-    return crawler.run(sites=sites, checkpoint=checkpoint), injector
+    crawler = Crawler(tiny_web, CONFIG, faults=injector, retry=retry)
+    return crawler.run(sites=sites), injector
 
 
 def test_none_profile_matches_no_injector(tiny_web, sites):
@@ -126,40 +115,6 @@ def test_orphaned_sockets_counted_not_fatal(tiny_web, sites):
     assert injector.counters["socket_orphaned"] > 0
     assert summary.sockets_observed == 0
     assert summary.errors["unattributed_event"] > 0
-
-
-def test_checkpoint_resume_replays_completed_sites(tiny_web, sites, tmp_path):
-    path = tmp_path / "spool"
-    seen_first: list = []
-    journal = _journal(path)
-    first, _ = _run(tiny_web, sites, FLAKY_PROFILE,
-                    observers=[seen_first.append],
-                    checkpoint=journal)
-    journal.store.seal_active()  # as a finished study does
-    assert seen_first  # the first run actually crawled
-    journal_bytes = _journal_bytes(path)
-    seen_second: list = []
-    second, _ = _run(tiny_web, sites, FLAKY_PROFILE,
-                     observers=[seen_second.append],
-                     checkpoint=_journal(path))
-    # Nothing was re-crawled (the journal gained no entries), but every
-    # journaled observation replayed into the observers in order — so a
-    # resumed study's dataset matches an uninterrupted one.
-    assert _journal_bytes(path) == journal_bytes
-    assert seen_second == seen_first
-    assert _summary_key(second) == _summary_key(first)
-
-
-def test_checkpoint_partial_resume_continues(tiny_web, sites, tmp_path):
-    path = tmp_path / "spool"
-    full, _ = _run(tiny_web, sites, FLAKY_PROFILE)
-    _run(tiny_web, sites[:3], FLAKY_PROFILE,
-         checkpoint=_journal(path))  # interrupt after 3 sites
-    resumed, _ = _run(tiny_web, sites, FLAKY_PROFILE,
-                      checkpoint=_journal(path))
-    assert resumed.sites == full.sites
-    assert resumed.pages_visited == full.pages_visited
-    assert len(_journal(path)) == len(sites)
 
 
 def test_exit_code_flags_total_degradation():

@@ -1,53 +1,10 @@
-"""Tests for the trace recorder and the trace file round trip."""
+"""Tests for the trace file round trip and the obs summary."""
 
 import pytest
 
-from repro.cdp.events import ScriptParsed, WebSocketClosed, WebSocketCreated
-from repro.obs import Obs, TraceRecorder, read_trace, write_metrics, write_trace
+from repro.obs import Obs, read_trace, write_metrics, write_trace
 from repro.obs.recorder import ObsSummary
 from repro.obs.tracer import ObsEvent, SpanAggregate, SpanRecord
-from repro.util.obsclock import TickClock
-
-
-def _created(rid):
-    return WebSocketCreated(timestamp=0.0, request_id=rid,
-                            url="wss://ws.example/")
-
-
-class TestTraceRecorder:
-    def test_counts_by_method(self, bus):
-        recorder = TraceRecorder(bus)
-        bus.publish(_created("r1"))
-        bus.publish(_created("r2"))
-        bus.publish(WebSocketClosed(timestamp=0.0, request_id="r1"))
-        assert recorder.by_method == {
-            "Network.webSocketCreated": 2,
-            "Network.webSocketClosed": 1,
-        }
-        assert recorder.total == 3
-
-    def test_detach_stops_accounting(self, bus):
-        recorder = TraceRecorder(bus)
-        bus.publish(_created("r1"))
-        recorder.detach()
-        bus.publish(_created("r2"))
-        assert recorder.total == 1
-
-    def test_sequence_and_events_for(self, bus):
-        recorder = TraceRecorder(bus, clock=TickClock(), keep_events=True)
-        bus.publish(_created("r1"))
-        bus.publish(ScriptParsed(timestamp=0.0, script_id="s", url="u"))
-        bus.publish(WebSocketClosed(timestamp=0.0, request_id="r1"))
-        assert recorder.events_for("r1") == [
-            "Network.webSocketCreated", "Network.webSocketClosed",
-        ]
-        ticks = [tick for _, _, tick in recorder.sequence]
-        assert ticks == sorted(ticks)
-
-    def test_sequence_off_by_default(self, bus):
-        recorder = TraceRecorder(bus)
-        bus.publish(_created("r1"))
-        assert recorder.sequence == []
 
 
 def _summary():
@@ -124,11 +81,3 @@ class TestObsFacade:
         assert isinstance(summary.spans[0], SpanRecord)
         assert isinstance(summary.aggregates[0], SpanAggregate)
         assert isinstance(summary.events[0], ObsEvent)
-
-    def test_recorder_for_shares_clock(self, bus):
-        obs = Obs()
-        recorder = obs.recorder_for(bus, keep_events=True)
-        before = obs.clock.now()
-        bus.publish(_created("r1"))
-        assert obs.clock.now() == before + 1
-        assert recorder.sequence[0][2] == before + 1

@@ -5,9 +5,10 @@ recorded CDP event stream respects the ``Network.webSocket*`` lifecycle
 per socket, and two same-seed runs export byte-identical artifacts.
 """
 
+from repro.cdp import SessionRecorder
 from repro.experiments import SMOKE_CONFIG
 from repro.experiments.runner import run_study
-from repro.obs import Obs, write_metrics, write_trace
+from repro.obs import write_metrics, write_trace
 
 _LIFECYCLE = (
     "Network.webSocketCreated",
@@ -17,22 +18,29 @@ _LIFECYCLE = (
 )
 
 
+def _events_for(recorder: SessionRecorder, request_id: str) -> list[str]:
+    """Methods recorded for one request id, in publication order."""
+    return [
+        event.METHOD for event in recorder
+        if getattr(event, "request_id", "") == request_id
+    ]
+
+
 class TestCdpEventOrdering:
     def test_websocket_lifecycle_order_per_socket(self, tiny_web, bus, browser):
-        obs = Obs()
-        recorder = obs.recorder_for(bus, keep_events=True)
+        recorder = SessionRecorder(bus)
         plan = next(iter(tiny_web.plan.site_plans.values()))
         # Sockets appear per-page probabilistically; a handful of pages
         # is guaranteed to hit at least one.
         for page in range(6):
             browser.visit(tiny_web.blueprint(plan.site, page, 0), crawl=0)
         socket_ids = {
-            rid for method, rid, _ in recorder.sequence
-            if method == "Network.webSocketCreated"
+            event.request_id for event in recorder
+            if event.METHOD == "Network.webSocketCreated"
         }
         assert socket_ids, "fixture site should open at least one socket"
         for rid in socket_ids:
-            methods = recorder.events_for(rid)
+            methods = _events_for(recorder, rid)
             milestones = [m for m in methods if m in _LIFECYCLE]
             assert milestones == list(_LIFECYCLE)
             # Data frames only flow between the 101 and the close.
@@ -43,15 +51,6 @@ class TestCdpEventOrdering:
                 if m.startswith("Network.webSocketFrame")
             ]
             assert all(lo < i < hi for i in frame_positions)
-
-    def test_recorder_ticks_monotone(self, tiny_web, bus, browser):
-        obs = Obs()
-        recorder = obs.recorder_for(bus, keep_events=True)
-        plan = next(iter(tiny_web.plan.site_plans.values()))
-        browser.visit(tiny_web.blueprint(plan.site, 0, 0), crawl=0)
-        ticks = [tick for _, _, tick in recorder.sequence]
-        assert ticks == sorted(ticks)
-        assert recorder.total == len(recorder.sequence)
 
 
 class TestByteIdenticalRuns:

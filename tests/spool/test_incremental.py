@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cache import StageCache, StateCache, labeler_fingerprint
+from repro.analysis.cache import StageCache, labeler_fingerprint
 from repro.analysis.engine import AnalysisEngine, DatasetSource
 from repro.analysis.stage import study_stages
 from repro.cli import _spool_slices
@@ -63,27 +63,27 @@ def scenario(spooled, tmp_path_factory) -> Scenario:
         info.path.rename(stash / info.path.name)
 
     import_spool(spool, dataset)
-    state_cache = StateCache(base / "state-cache")
+    state_cache = StageCache(base / "state-cache", kind="state")
     engine = AnalysisEngine(stages=study_stages())
-    cold = engine.run_incremental(
+    cold = engine.run(
         DatasetSource.from_file(dataset),
-        _spool_slices(spool, dataset),
-        state_cache,
+        slices=_spool_slices(spool, dataset),
+        state_cache=state_cache,
     )
     slices_phase1 = cold.segments_folded + cold.segments_cached
 
     for info in late:
         (stash / info.path.name).rename(info.path)
     import_spool(spool, dataset)
-    warm = engine.run_incremental(
+    warm = engine.run(
         DatasetSource.from_file(dataset),
-        _spool_slices(spool, dataset),
-        state_cache,
+        slices=_spool_slices(spool, dataset),
+        state_cache=state_cache,
     )
-    third = engine.run_incremental(
+    third = engine.run(
         DatasetSource.from_file(dataset),
-        _spool_slices(spool, dataset),
-        state_cache,
+        slices=_spool_slices(spool, dataset),
+        state_cache=state_cache,
     )
     full = AnalysisEngine(stages=study_stages()).run(
         DatasetSource.from_file(dataset)
@@ -155,13 +155,15 @@ class TestArtifactCacheShortCircuit:
         engine = AnalysisEngine(
             stages=study_stages(), cache=StageCache(base / "artifacts")
         )
-        state_cache = StateCache(base / "state")
+        state_cache = StageCache(base / "state", kind="state")
         slices = _spool_slices(spool, dataset)
-        first = engine.run_incremental(
-            DatasetSource.from_file(dataset), slices, state_cache
+        first = engine.run(
+            DatasetSource.from_file(dataset),
+            slices=slices, state_cache=state_cache,
         )
-        second = engine.run_incremental(
-            DatasetSource.from_file(dataset), slices, state_cache
+        second = engine.run(
+            DatasetSource.from_file(dataset),
+            slices=slices, state_cache=state_cache,
         )
         assert first.computed and not first.cached
         assert second.cached == tuple(
