@@ -102,16 +102,16 @@ def _merge_cost(web):
                   study_seed=PARALLEL_CONFIG.seed, web=spec)
         for shard in plan_shards(web.seed_list.sites)
     ]
+    engine = build_filter_engine(web.registry)
     t0 = time.perf_counter()
-    results = execute_shards(web, spec, tasks, workers=1)
+    results = execute_shards(web, spec, tasks, engine, workers=1)
     exec_seconds = time.perf_counter() - t0
 
-    dataset = StudyDataset(engine=build_filter_engine(web.registry))
+    dataset = StudyDataset(engine=engine)
     site_total = len(web.seed_list.sites)
     t1 = time.perf_counter()
     lane_total = LaneStats()
-    accountant = CrawlAccountant(crawl, site_total,
-                                 observers=[dataset.observe])
+    accountant = CrawlAccountant(crawl, site_total, dataset=dataset)
     with accountant:
         for task in tasks:
             result = results[(crawl.index, task.shard_index)]

@@ -113,14 +113,16 @@ def test_flow_whole_program_cold_vs_warm(tmp_path):
 
 def test_cross_validation_sweep(benchmark, bench_web):
     registry = bench_web.registry
-    lists = build_filter_lists(registry)
+    analysis = analyze_filter_lists(build_filter_lists(registry),
+                                    registry=registry)
 
     def sweep():
         records = []
         for chrome_major in (57, 58):
             for ws_aware in (True, False):
                 records.extend(cross_validate_receivers(
-                    lists, registry, chrome_major, websocket_aware=ws_aware
+                    analysis, registry, chrome_major,
+                    websocket_aware=ws_aware,
                 ))
         return records
 

@@ -97,14 +97,16 @@ def test_static_lint_agrees_with_dynamic_ablation(bench_web, ws_engine_text):
     classification) must equal what dispatching the handshake through
     the simulated webRequest API actually does.
     """
+    from repro.staticlint.filterlint import analyze_filter_lists
     from repro.staticlint.webrequestlint import cross_validate_receivers
 
     lists = [parse_filter_list("lists", ws_engine_text)]
+    analysis = analyze_filter_lists(lists, registry=bench_web.registry)
     patched_records = None
     for chrome_major in (57, 58):
         for ws_aware in (True, False):
             records = cross_validate_receivers(
-                lists, bench_web.registry, chrome_major,
+                analysis, bench_web.registry, chrome_major,
                 websocket_aware=ws_aware,
             )
             assert records

@@ -13,8 +13,9 @@ Parallel model (PR 4): crawling and bookkeeping are two phases. A
 :class:`CrawlLane` (browser + bus + fault gate + sim clock) produces
 :class:`~repro.crawler.outcome.SiteOutcome` records — pure data, no
 obs/observer/summary side effects — and a :class:`CrawlAccountant`
-folds outcomes into the run summary, obs spans/counters, dataset
-observers, and the checkpoint journal, always in canonical site order.
+folds outcomes into the run summary, obs spans/counters, the dataset
+(by merging each site's already-labeled fold) and the checkpoint
+journal, always in canonical site order.
 Because producing an outcome never touches the obs tick clock, the
 accountant's replay is byte-identical whether the outcome was crawled
 inline one second ago or in a worker process (see
@@ -46,6 +47,7 @@ from repro.web.alexa import Site
 from repro.web.server import SyntheticWeb
 
 if TYPE_CHECKING:  # avoids the persistence → dataset → crawler cycle
+    from repro.crawler.dataset import StudyDataset
     from repro.crawler.persistence import CrawlJournal, SiteCheckpoint
 
 Observer = Callable[[PageObservation], None]
@@ -156,17 +158,18 @@ class CrawlLane:
 
 
 class CrawlAccountant:
-    """Folds site outcomes into summary, obs, observers, and journal.
+    """Folds site outcomes into summary, obs, dataset, and journal.
 
     All crawl bookkeeping lives here so the sequential path and the
     parallel merge are literally the same code: ``record_site`` opens
-    the site/page spans, feeds observers, updates the run summary,
-    emits ``crawl.progress``/``crawl.quarantine`` events, and journals
-    the site; ``restore_site`` folds a checkpointed site back in,
-    replaying its journaled observations into the observers so a
-    resumed study feeds its dataset exactly like an uninterrupted one;
-    ``finish`` emits the unconditional end-of-crawl progress event and
-    harvests lane telemetry into the metrics registry.
+    the site/page spans, merges the site's dataset fold, updates the
+    run summary, emits ``crawl.progress``/``crawl.quarantine`` events,
+    and journals the site; ``restore_site`` folds a checkpointed site
+    back in, merging its journaled fold so a resumed study's dataset
+    equals an uninterrupted one; ``finish`` emits the unconditional
+    end-of-crawl progress event and harvests lane telemetry into the
+    metrics registry. Nothing here matches a filter: the shard that
+    crawled a site already labeled its resources.
 
     Use as a context manager — the crawl span opens on entry and
     closes on exit, and ``finish`` must be called inside the block.
@@ -176,14 +179,14 @@ class CrawlAccountant:
         self,
         config: CrawlConfig,
         site_total: int,
-        observers: Iterable[Observer] = (),
+        dataset: "StudyDataset | None" = None,
         obs: Obs | None = None,
         checkpoint: "CrawlJournal | None" = None,
         progress_every: int = 25,
     ) -> None:
         self.config = config
         self.site_total = site_total
-        self.observers = list(observers)
+        self.dataset = dataset
         self.obs = obs
         self.checkpoint = checkpoint
         self.progress_every = max(1, progress_every)
@@ -230,8 +233,8 @@ class CrawlAccountant:
                     summary.sockets_partial += sum(
                         1 for s in page.observation.sockets if s.partial
                     )
-                    for observer in self.observers:
-                        observer(page.observation)
+        if self.dataset is not None and outcome.fold is not None:
+            self.dataset.merge(outcome.fold)
         summary.page_retries += outcome.page_retries
         if outcome.quarantined:
             summary.sites_quarantined += 1
@@ -255,20 +258,17 @@ class CrawlAccountant:
             self._progress_event()
 
     def restore_site(self, entry: "SiteCheckpoint") -> None:
-        """Fold one journaled site back in, replaying its observations.
+        """Fold one journaled site back in, merging its journaled fold.
 
-        Restored sites feed the observers (so the dataset — and every
-        table derived from it — matches an uninterrupted run) but open
-        no spans and touch no counters: the metrics describe work this
-        process actually did, and the trace shows the resume for what
-        it is.
+        Restored sites reach the dataset (so every table derived from
+        it matches an uninterrupted run) but open no spans and touch no
+        counters: the metrics describe work this process actually did,
+        and the trace shows the resume for what it is.
         """
         entry.restore_into(self.summary)
         self.tally.merge(entry.errors)
-        for page in entry.page_outcomes:
-            if page.observation is not None:
-                for observer in self.observers:
-                    observer(page.observation)
+        if self.dataset is not None and entry.fold is not None:
+            self.dataset.merge(entry.fold)
 
     def finish(self, lane: LaneStats) -> None:
         """End-of-crawl bookkeeping; call once, inside the span."""
@@ -319,7 +319,7 @@ class CrawlAccountant:
             sockets_partial=outcome.sockets_partial,
             events_published=outcome.events_published,
             errors=dict(outcome.errors),
-            page_outcomes=tuple(outcome.pages),
+            fold=outcome.fold,
         )
 
     def _harvest(self, obs: Obs, lane: LaneStats) -> None:
@@ -407,39 +407,33 @@ class Crawler:
 
         Always crawls every site: resuming from a journal is
         shard-granular and lives in
-        :func:`repro.experiments.runner.run_crawls`.
+        :func:`repro.experiments.runner.run_crawls`. Each observer sees
+        every visited page's full observation, resources included, as
+        its site finishes.
         """
         lane = self.make_lane()
         site_list = list(sites) if sites is not None else self.web.seed_list.sites
         accountant = CrawlAccountant(
-            self.config, len(site_list), observers=self.observers,
-            obs=self.obs, progress_every=self.progress_every,
+            self.config, len(site_list), obs=self.obs,
+            progress_every=self.progress_every,
         )
         with accountant:
             for site in site_list:
-                accountant.record_site(self.crawl_site(site, lane))
+                outcome = self.crawl_site(site, lane)
+                for page in outcome.pages:
+                    if page.observation is not None:
+                        for observer in self.observers:
+                            observer(page.observation)
+                accountant.record_site(outcome)
             accountant.finish(lane.stats(self.faults))
         return accountant.summary
-
-    def collect_outcomes(
-        self, sites: Iterable[Site], lane: CrawlLane | None = None
-    ) -> tuple[list[SiteOutcome], LaneStats]:
-        """Crawl ``sites`` on one lane, with no bookkeeping at all.
-
-        The parallel executor's worker entry point: outcomes and lane
-        telemetry cross the process boundary; the accountant replays
-        them parent-side.
-        """
-        lane = lane or self.make_lane()
-        outcomes = [self.crawl_site(site, lane) for site in sites]
-        return outcomes, lane.stats(self.faults)
 
     def crawl_site(self, site: Site, lane: CrawlLane) -> SiteOutcome:
         """Visit one site's page budget; pure outcome production.
 
-        Never touches the obs clock, the observers, or any summary —
-        that is the accountant's job — so the outcome is identical
-        wherever (and whenever) the site is crawled.
+        Never touches the obs clock, the observers, the dataset or any
+        summary, so the outcome is identical wherever (and whenever)
+        the site is crawled.
         """
         browser = lane.browser
         browser.new_profile(f"{self.config.index}:{site.domain}")

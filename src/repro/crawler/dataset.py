@@ -25,7 +25,7 @@ from repro.content.items import ReceivedClass, SentItem
 from repro.content.received import classify_http_response
 from repro.crawler.crawler import CrawlRunSummary
 from repro.crawler.observation import PageObservation
-from repro.filters import CompiledFilterEngine
+from repro.filters import CompiledFilterEngine, EngineStats
 from repro.labeling.aa_labeler import AaLabeler, DomainTagCounter
 from repro.labeling.cloudfront import CloudfrontMapper, is_cloudfront_host
 from repro.labeling.resolver import DomainResolver
@@ -149,9 +149,19 @@ class ChainSignature:
 
 @dataclass
 class StudyDataset:
-    """Accumulates one or more crawls of the study."""
+    """Accumulates one or more crawls of the study.
 
-    engine: CompiledFilterEngine
+    Also a fold over page observations: merging :meth:`spawn` partials
+    in canonical site order gives exactly the dataset that observing
+    every page in that order would, dict insertion order included.
+    ``stats`` takes :meth:`observe`'s match telemetry (the engine's own
+    stats by default, fresh ones in a partial) and :meth:`merge` adds a
+    partial's in, so each match is charged to the engine once. A
+    partial pickles and journals without its engine (``None`` on the
+    far side); only :meth:`observe` needs one.
+    """
+
+    engine: CompiledFilterEngine | None
     socket_records: list[SocketRecord] = field(default_factory=list)
     tag_counter: DomainTagCounter = field(default_factory=DomainTagCounter)
     cf_mapper: CloudfrontMapper = field(default_factory=CloudfrontMapper)
@@ -162,6 +172,19 @@ class StudyDataset:
     crawl_sites: dict[int, list[tuple[str, int]]] = field(default_factory=dict)
     crawl_pages: Counter = field(default_factory=Counter)
     crawl_labels: dict[int, str] = field(default_factory=dict)
+    stats: EngineStats | None = None
+
+    def __post_init__(self) -> None:
+        if self.stats is None:
+            self.stats = (
+                self.engine.stats if self.engine is not None
+                else EngineStats()
+            )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["engine"] = None
+        return state
 
     # -- ingestion -----------------------------------------------------------
 
@@ -172,7 +195,8 @@ class StudyDataset:
         first_party_domain = registrable_domain(page.site_domain)
         for resource in page.resources:
             matched = self.engine.match(
-                resource.url, resource.resource_type, first_party_url
+                resource.url, resource.resource_type, first_party_url,
+                stats=self.stats,
             ).matched
             self.tag_counter.observe(resource.host, matched)
             if registrable_domain(resource.host) != first_party_domain:
@@ -203,6 +227,30 @@ class StudyDataset:
                 ad_units=socket.ad_units,
                 partial=socket.partial,
             ))
+
+    def spawn(self) -> "StudyDataset":
+        """An empty partial on this dataset's engine, with its own stats."""
+        return StudyDataset(engine=self.engine, stats=EngineStats())
+
+    def merge(self, other: "StudyDataset") -> None:
+        """Add a :meth:`spawn` partial's pages in.
+
+        Site lists and labels are not part of a page fold: the
+        accountant and the spool importer record those.
+        """
+        self.socket_records.extend(other.socket_records)
+        self.tag_counter.merge(other.tag_counter)
+        self.cf_mapper.merge(other.cf_mapper)
+        self.http_requests_by_host.update(other.http_requests_by_host)
+        for mine, theirs in (
+            (self.http_items_by_host, other.http_items_by_host),
+            (self.http_received_by_host, other.http_received_by_host),
+        ):
+            for host, bucket in theirs.items():
+                mine.setdefault(host, Counter()).update(bucket)
+        self.chain_signatures.update(other.chain_signatures)
+        self.crawl_pages.update(other.crawl_pages)
+        self.stats.merge(other.stats)
 
     def record_crawl(self, summary: CrawlRunSummary) -> None:
         """Register a finished crawl's site list and label."""

@@ -2,24 +2,31 @@
 
 A :class:`SiteOutcome` is everything one site visit produced, with no
 observability or summary bookkeeping attached: the crawler produces
-outcomes (in a worker process or inline), and the
-:class:`~repro.crawler.crawler.CrawlAccountant` folds them into the
-run summary, the obs trace, the dataset observers, and the checkpoint
-journal in canonical site-rank order. Keeping production and
-accounting separate is what makes ``--workers N`` byte-identical to
-``--workers 1``: no matter where a site was crawled, its bookkeeping
-replays in the same order on the same process.
+outcomes (in a worker process or inline), the shard folds each site's
+pages into a dataset partial (:meth:`StudyDataset.spawn`) and keeps
+only their sockets, and the
+:class:`~repro.crawler.crawler.CrawlAccountant` folds outcomes into the
+run summary, the obs trace, the dataset (a merge of the partial) and
+the checkpoint journal in canonical site-rank order. Keeping
+production and accounting separate is what makes ``--workers N``
+byte-identical to ``--workers 1``: no matter where a site was crawled,
+its bookkeeping replays in the same order on the same process.
 
 Everything here is plain picklable data (strings, ints, dataclasses of
-the same) so outcomes can cross a ``multiprocessing`` pipe.
+the same; a partial pickles without its filter engine) so outcomes can
+cross a ``multiprocessing`` pipe.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.crawler.observation import PageObservation
+
+if TYPE_CHECKING:  # avoids the dataset → crawler → outcome cycle
+    from repro.crawler.dataset import StudyDataset
 
 
 @dataclass
@@ -51,6 +58,9 @@ class SiteOutcome:
             delta of the lane's bus counter — sums to the lane total
             because publishing only happens inside visits).
         errors: Error-taxonomy counts for this site (sorted keys).
+        fold: The site's pages folded into a dataset partial, set by
+            the shard that crawled it (``None`` straight out of
+            :meth:`~repro.crawler.crawler.Crawler.crawl_site`).
     """
 
     domain: str
@@ -61,6 +71,7 @@ class SiteOutcome:
     page_retries: int = 0
     events_published: int = 0
     errors: dict[str, int] = field(default_factory=dict)
+    fold: "StudyDataset | None" = None
 
     @property
     def pages_visited(self) -> int:

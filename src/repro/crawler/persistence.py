@@ -11,7 +11,9 @@ saved file share one content address for the stage cache, and
 :class:`SegmentSlice` content-addresses a record range of one.
 
 This module also holds the crawl journal's entry type and codec
-(:class:`SiteCheckpoint`) and the interface the crawler resumes from
+(:class:`SiteCheckpoint`, whose per-site fold is written with the
+dataset file's aggregate and socket-record encoders) and the
+interface the crawler resumes from
 (:class:`CrawlJournal`); :class:`repro.spool.SpoolJournal` is the
 journal that implements it.
 """
@@ -35,13 +37,8 @@ from repro.crawler.dataset import (
     SocketRecord,
     StudyDataset,
 )
-from repro.crawler.observation import (
-    PageObservation,
-    ResourceObservation,
-    SocketObservation,
-)
-from repro.crawler.outcome import PageOutcome
-from repro.net.http import ResourceType
+from repro.labeling.aa_labeler import DomainTagCounter
+from repro.labeling.cloudfront import CloudfrontMapper
 from repro.util.serialization import (
     dumps,
     iter_lines,
@@ -182,37 +179,9 @@ def _item_counter_to_json(bucket: Counter) -> dict:
     }
 
 
-def dataset_preamble(dataset: StudyDataset) -> list[dict]:
-    """The header and aggregate lines preceding the socket records.
-
-    Chain signatures get one ``kind: chain`` line each rather than one
-    aggregate line: the chain population grows with pages crawled, and
-    a single multi-megabyte JSON line would dominate the reader's
-    transient memory (the whole point of streaming re-analysis is that
-    nothing scales with crawl volume at parse time).
-    """
-    chains = [
-        {
-            "kind": "chain",
-            "hosts": list(signature.hosts),
-            "script_urls": list(signature.script_urls),
-            "leaf_host": signature.leaf_host,
-            "leaf_is_script": signature.leaf_is_script,
-            "count": count,
-        }
-        for signature, count in dataset.chain_signatures.items()
-    ]
-    chains.sort(key=lambda entry: (
-        entry["leaf_host"], entry["hosts"], entry["script_urls"],
-        entry["leaf_is_script"],
-    ))
+def _count_lines(dataset: StudyDataset) -> list[dict]:
+    """The tag, Cloudfront and HTTP aggregate lines."""
     return [
-        {
-            "kind": "header",
-            "format": DATASET_FORMAT,
-            "version": DATASET_VERSION,
-            "meta": _meta_to_json(dataset.meta),
-        },
         {
             "kind": "tags",
             "aa": dict(dataset.tag_counter.aa),
@@ -237,7 +206,81 @@ def dataset_preamble(dataset: StudyDataset) -> list[dict]:
                 for host, bucket in dataset.http_received_by_host.items()
             },
         },
-    ] + chains
+    ]
+
+
+#: A chain signature row's fields, in order: the journal stores rows,
+#: and a dataset file's ``kind: chain`` line names the same fields.
+_CHAIN_FIELDS = ("hosts", "script_urls", "leaf_host", "leaf_is_script",
+                 "count")
+
+
+def _chain_rows(dataset: StudyDataset) -> list[list]:
+    return [
+        [list(signature.hosts), list(signature.script_urls),
+         signature.leaf_host, signature.leaf_is_script, count]
+        for signature, count in dataset.chain_signatures.items()
+    ]
+
+
+def _add_chain_row(dataset: StudyDataset, row: list) -> None:
+    hosts, script_urls, leaf_host, leaf_is_script, count = row
+    dataset.chain_signatures[ChainSignature(
+        hosts=tuple(hosts),
+        script_urls=tuple(script_urls),
+        leaf_host=leaf_host,
+        leaf_is_script=leaf_is_script,
+    )] += count
+
+
+def _add_aggregate(dataset: StudyDataset, payload: dict) -> None:
+    """Add one aggregate line's counts into ``dataset``.
+
+    Inverts :func:`dataset_preamble` line by line; unknown kinds are
+    skipped.
+    """
+    kind = payload["kind"]
+    if kind == "tags":
+        dataset.tag_counter.merge(
+            DomainTagCounter(aa=payload["aa"], non_aa=payload["non_aa"])
+        )
+    elif kind == "cloudfront":
+        dataset.cf_mapper.merge(CloudfrontMapper(payload["adjacency"]))
+    elif kind == "http":
+        dataset.http_requests_by_host.update(payload["requests"])
+        for target, field_name, decode in (
+            (dataset.http_items_by_host, "items", SentItem),
+            (dataset.http_received_by_host, "received", ReceivedClass),
+        ):
+            for host, counts in payload[field_name].items():
+                target.setdefault(host, Counter()).update({
+                    decode(value): count for value, count in counts.items()
+                })
+    elif kind == "chain":
+        _add_chain_row(dataset, [payload[name] for name in _CHAIN_FIELDS])
+
+
+def dataset_preamble(dataset: StudyDataset) -> list[dict]:
+    """The header and aggregate lines preceding the socket records.
+
+    Chain signatures get one ``kind: chain`` line each rather than one
+    aggregate line: the chain population grows with pages crawled, and
+    a single multi-megabyte JSON line would dominate the reader's
+    transient memory (the whole point of streaming re-analysis is that
+    nothing scales with crawl volume at parse time).
+    """
+    rows = sorted(_chain_rows(dataset),
+                  key=lambda row: (row[2], row[0], row[1], row[3]))
+    return [
+        {
+            "kind": "header",
+            "format": DATASET_FORMAT,
+            "version": DATASET_VERSION,
+            "meta": _meta_to_json(dataset.meta),
+        },
+    ] + _count_lines(dataset) + [
+        {"kind": "chain", **dict(zip(_CHAIN_FIELDS, row))} for row in rows
+    ]
 
 
 def _dataset_records(dataset: StudyDataset) -> Iterator[dict]:
@@ -338,15 +381,25 @@ class DatasetReader:
         self.path = Path(path)
         if not self.path.exists():
             raise DatasetError(f"no such dataset file: {self.path}")
-        self.meta, preamble = self._load_preamble()
-        self.dataset = self._restore_dataset(preamble, engine)
+        if engine is None:
+            # The filter engine is scale-independent: it is built from
+            # the full registry regardless of crawl sample, so a saved
+            # dataset re-analyzes against the same rules it was
+            # crawled under.
+            from repro.web.filterlists import build_filter_engine
+            from repro.web.registry import default_registry
+
+            engine = build_filter_engine(default_registry())
+        self.meta, self.dataset = self._load_preamble(engine)
         #: Torn trailing records skipped by the last ``iter_records``
         #: pass — 0 or 1 by construction.
         self.torn_tail_skipped = 0
 
-    def _load_preamble(self) -> tuple[DatasetMeta, dict[str, dict]]:
+    def _load_preamble(
+        self, engine: "CompiledFilterEngine"
+    ) -> tuple[DatasetMeta, StudyDataset]:
         header: dict | None = None
-        preamble: dict[str, dict] = {}
+        dataset: StudyDataset | None = None
         # Lines before the first socket record; iter_records skips
         # them without re-parsing (the aggregate lines are large).
         self._preamble_lines = 0
@@ -371,67 +424,25 @@ class DatasetReader:
                         f"version {DATASET_VERSION}"
                     )
                 header = payload
+                dataset = StudyDataset(engine=engine)
                 self._preamble_lines += 1
                 continue
             if kind is None:
                 break  # the socket records start here
-            if kind == "chain":
-                # Converted as parsed: holding every chain line's raw
-                # dict alongside the converted Counter would double
-                # the reader's peak memory.
-                chains = preamble.setdefault("chains", Counter())
-                chains[ChainSignature(
-                    hosts=tuple(payload["hosts"]),
-                    script_urls=tuple(payload["script_urls"]),
-                    leaf_host=payload["leaf_host"],
-                    leaf_is_script=payload["leaf_is_script"],
-                )] = payload["count"]
-            else:
-                preamble[kind] = payload
+            # Added as parsed: holding every aggregate line's raw dict
+            # alongside the converted counters would double the
+            # reader's peak memory.
+            _add_aggregate(dataset, payload)
             self._preamble_lines += 1
         if header is None:
             raise DatasetError(f"{self.path} is empty")
-        return _meta_from_json(header["meta"]), preamble
-
-    def _restore_dataset(
-        self, preamble: dict[str, dict], engine: "CompiledFilterEngine | None"
-    ) -> StudyDataset:
-        if engine is None:
-            # The filter engine is scale-independent: it is built from
-            # the full registry regardless of crawl sample, so a saved
-            # dataset re-analyzes against the same rules it was
-            # crawled under.
-            from repro.web.filterlists import build_filter_engine
-            from repro.web.registry import default_registry
-
-            engine = build_filter_engine(default_registry())
-        dataset = StudyDataset(engine=engine)
-        tags = preamble.get("tags", {})
-        for domain, count in tags.get("aa", {}).items():
-            dataset.tag_counter.aa[domain] = count
-        for domain, count in tags.get("non_aa", {}).items():
-            dataset.tag_counter.non_aa[domain] = count
-        cloudfront = preamble.get("cloudfront", {})
-        for host, counts in cloudfront.get("adjacency", {}).items():
-            dataset.cf_mapper.adjacency[host] = Counter(counts)
-        http = preamble.get("http", {})
-        dataset.http_requests_by_host.update(http.get("requests", {}))
-        for host, counts in http.get("items", {}).items():
-            dataset.http_items_by_host[host] = Counter({
-                SentItem(value): count for value, count in counts.items()
-            })
-        for host, counts in http.get("received", {}).items():
-            dataset.http_received_by_host[host] = Counter({
-                ReceivedClass(value): count
-                for value, count in counts.items()
-            })
-        dataset.chain_signatures.update(preamble.get("chains", {}))
-        for crawl in self.meta.crawls:
+        meta = _meta_from_json(header["meta"])
+        for crawl in meta.crawls:
             dataset.crawl_sites[crawl.index] = list(crawl.sites)
             dataset.crawl_labels[crawl.index] = crawl.label
             if crawl.pages:
                 dataset.crawl_pages[crawl.index] = crawl.pages
-        return dataset
+        return meta, dataset
 
     @property
     def preamble_lines(self) -> int:
@@ -563,130 +574,6 @@ def open_dataset(
     return DatasetReader(path, engine=engine)
 
 
-# -- page observation codecs ----------------------------------------------
-
-
-def _socket_observation_to_json(obs: SocketObservation) -> dict:
-    return {
-        "url": obs.url,
-        "host": obs.host,
-        "initiator_host": obs.initiator_host,
-        "initiator_url": obs.initiator_url,
-        "chain_hosts": list(obs.chain_hosts),
-        "chain_script_urls": list(obs.chain_script_urls),
-        "first_party_host": obs.first_party_host,
-        "cross_origin": obs.cross_origin,
-        "handshake_cookie": obs.handshake_cookie,
-        "sent_items": sorted(item.value for item in obs.sent_items),
-        "received_classes": sorted(
-            cls.value for cls in obs.received_classes
-        ),
-        "sent_nothing": obs.sent_nothing,
-        "received_nothing": obs.received_nothing,
-        "frames_sent": obs.frames_sent,
-        "frames_received": obs.frames_received,
-        "ad_units": [
-            {"image_url": u.image_url, "caption": u.caption,
-             "width": u.width, "height": u.height,
-             "click_url": u.click_url}
-            for u in obs.ad_units
-        ],
-        "partial": obs.partial,
-    }
-
-
-def _socket_observation_from_json(payload: dict) -> SocketObservation:
-    return SocketObservation(
-        url=payload["url"],
-        host=payload["host"],
-        initiator_host=payload["initiator_host"],
-        initiator_url=payload["initiator_url"],
-        chain_hosts=tuple(payload["chain_hosts"]),
-        chain_script_urls=tuple(payload["chain_script_urls"]),
-        first_party_host=payload["first_party_host"],
-        cross_origin=payload["cross_origin"],
-        handshake_cookie=payload["handshake_cookie"],
-        sent_items=frozenset(
-            SentItem(value) for value in payload["sent_items"]
-        ),
-        received_classes=frozenset(
-            ReceivedClass(value) for value in payload["received_classes"]
-        ),
-        sent_nothing=payload["sent_nothing"],
-        received_nothing=payload["received_nothing"],
-        frames_sent=payload["frames_sent"],
-        frames_received=payload["frames_received"],
-        ad_units=tuple(
-            AdUnit(**unit) for unit in payload["ad_units"]
-        ),
-        partial=payload["partial"],
-    )
-
-
-def _resource_observation_to_json(obs: ResourceObservation) -> dict:
-    return {
-        "url": obs.url,
-        "host": obs.host,
-        "resource_type": obs.resource_type.value,
-        "mime_type": obs.mime_type,
-        "has_cookie": obs.has_cookie,
-        "sent_items": sorted(item.value for item in obs.sent_items),
-        "chain_hosts": list(obs.chain_hosts),
-        "chain_script_urls": list(obs.chain_script_urls),
-    }
-
-
-def _resource_observation_from_json(payload: dict) -> ResourceObservation:
-    return ResourceObservation(
-        url=payload["url"],
-        host=payload["host"],
-        resource_type=ResourceType(payload["resource_type"]),
-        mime_type=payload["mime_type"],
-        has_cookie=payload["has_cookie"],
-        sent_items=frozenset(
-            SentItem(value) for value in payload["sent_items"]
-        ),
-        chain_hosts=tuple(payload["chain_hosts"]),
-        chain_script_urls=tuple(payload["chain_script_urls"]),
-    )
-
-
-def page_observation_to_json(obs: PageObservation) -> dict:
-    """Encode one page observation for the checkpoint journal."""
-    return {
-        "site": obs.site_domain,
-        "rank": obs.rank,
-        "category": obs.category,
-        "crawl": obs.crawl,
-        "page": obs.page_url,
-        "sockets": [_socket_observation_to_json(s) for s in obs.sockets],
-        "resources": [
-            _resource_observation_to_json(r) for r in obs.resources
-        ],
-        "orphan_count": obs.orphan_count,
-        "unattributed_events": obs.unattributed_events,
-    }
-
-
-def page_observation_from_json(payload: dict) -> PageObservation:
-    """Decode one journaled page observation."""
-    return PageObservation(
-        site_domain=payload["site"],
-        rank=payload["rank"],
-        category=payload["category"],
-        crawl=payload["crawl"],
-        page_url=payload["page"],
-        sockets=[
-            _socket_observation_from_json(s) for s in payload["sockets"]
-        ],
-        resources=[
-            _resource_observation_from_json(r) for r in payload["resources"]
-        ],
-        orphan_count=payload["orphan_count"],
-        unattributed_events=payload["unattributed_events"],
-    )
-
-
 # -- checkpoint journal ---------------------------------------------------
 
 
@@ -706,9 +593,9 @@ class SiteCheckpoint:
         sockets_partial: Observed sockets flagged ``partial``.
         events_published: CDP events the site's visits published.
         errors: The site's error-taxonomy counts.
-        page_outcomes: The journaled per-page outcomes, observations
-            included — what lets a resumed study replay restored sites
-            into its dataset observers instead of losing them.
+        fold: The site's pages folded into a dataset partial (see
+            :meth:`StudyDataset.spawn`): what a resumed study and the
+            spool importer merge instead of matching the pages again.
     """
 
     crawl: int
@@ -722,7 +609,7 @@ class SiteCheckpoint:
     sockets_partial: int = 0
     events_published: int = 0
     errors: dict[str, int] = field(default_factory=dict)
-    page_outcomes: tuple[PageOutcome, ...] = ()
+    fold: StudyDataset | None = None
 
     def restore_into(self, summary: "CrawlRunSummary") -> None:
         """Fold this journaled site back into a resumed run's summary."""
@@ -738,6 +625,34 @@ class SiteCheckpoint:
             summary.sites_quarantined += 1
 
 
+def fold_to_json(fold: StudyDataset) -> dict:
+    """Encode a page fold with the dataset file's encoders.
+
+    Chain signatures go as rows: spelling out their field names would
+    take a third of the journal's bytes. Engine and stats are left out.
+    """
+    return {
+        "pages": sorted(fold.crawl_pages.items()),
+        "aggregates": _count_lines(fold),
+        "chains": _chain_rows(fold),
+        "records": [socket_record_to_json(r) for r in fold.socket_records],
+    }
+
+
+def fold_from_json(payload: dict) -> StudyDataset:
+    """Decode :func:`fold_to_json` into an engine-less partial."""
+    fold = StudyDataset(engine=None)
+    fold.crawl_pages.update(dict(payload["pages"]))
+    for line in payload["aggregates"]:
+        _add_aggregate(fold, line)
+    for row in payload["chains"]:
+        _add_chain_row(fold, row)
+    fold.socket_records.extend(
+        socket_record_from_json(record) for record in payload["records"]
+    )
+    return fold
+
+
 def entry_to_json(entry: SiteCheckpoint) -> dict:
     return {
         "crawl": entry.crawl,
@@ -751,12 +666,7 @@ def entry_to_json(entry: SiteCheckpoint) -> dict:
         "sockets_partial": entry.sockets_partial,
         "events_published": entry.events_published,
         "errors": entry.errors,
-        "pages_detail": [
-            [page.page_index,
-             page_observation_to_json(page.observation)
-             if page.observation is not None else None]
-            for page in entry.page_outcomes
-        ],
+        "fold": fold_to_json(entry.fold) if entry.fold is not None else None,
     }
 
 
@@ -773,15 +683,9 @@ def entry_from_json(payload: dict) -> SiteCheckpoint:
         sockets_partial=payload["sockets_partial"],
         events_published=payload["events_published"],
         errors=payload["errors"],
-        page_outcomes=tuple(
-            PageOutcome(
-                page_index=index,
-                observation=(
-                    page_observation_from_json(observation)
-                    if observation is not None else None
-                ),
-            )
-            for index, observation in payload["pages_detail"]
+        fold=(
+            fold_from_json(payload["fold"])
+            if payload["fold"] is not None else None
         ),
     )
 
@@ -790,8 +694,8 @@ class CrawlJournal(Protocol):
     """A resumable record of per-site crawl completion.
 
     The crawler skips journaled sites (restoring their counts into the
-    run summary and replaying their journaled observations into the
-    observers) and records one entry per newly finished site.
+    run summary and merging their journaled folds into the dataset)
+    and records one entry per newly finished site.
     :class:`repro.spool.SpoolJournal` is the implementation; the
     crawler only depends on this interface, never on the spool.
     """
@@ -799,7 +703,11 @@ class CrawlJournal(Protocol):
     def __len__(self) -> int: ...
 
     def get(self, crawl: int, domain: str) -> SiteCheckpoint | None:
-        """The journaled entry for a site, or ``None`` if unfinished."""
+        """The entry an earlier run journaled for a site, or ``None``.
+
+        Entries recorded through this journal are not held in memory:
+        they exist for the next run to resume from.
+        """
 
     def covers(self, crawl: int, domains: Iterable[str]) -> bool:
         """Whether every one of ``domains`` is journaled for ``crawl``.

@@ -159,14 +159,15 @@ def run_crawls(
 ) -> tuple[StudyDataset, list[CrawlRunSummary]]:
     """Run the configured crawls, returning the accumulated dataset.
 
-    Every run shards the seed list (:mod:`repro.parallel`) and merges
-    per-shard outcomes in canonical site-rank order; ``workers`` only
-    chooses where shards execute (inline for 1, a multiprocessing pool
+    Every run shards the seed list (:mod:`repro.parallel`); each shard
+    labels its own resources into per-site dataset folds, and the
+    folds merge in canonical site-rank order. ``workers`` only chooses
+    where shards execute (inline for 1, a multiprocessing pool
     otherwise), so artifacts are byte-identical across worker counts.
     The ``faults`` profile on ``config`` gives each (crawl, shard) its
     own seeded fault lane; a ``checkpoint`` journal lets an
-    interrupted study resume, restoring fully journaled shards —
-    observations included — and re-crawling partial ones whole.
+    interrupted study resume, restoring fully journaled shards (their
+    folds included) and re-crawling partial ones whole.
     """
     engine = build_filter_engine(web.registry)
     dataset = StudyDataset(engine=engine)
@@ -193,12 +194,12 @@ def run_crawls(
                 study_seed=config.seed,
                 web=spec,
             ))
-    results = execute_shards(web, spec, tasks, workers=workers)
+    results = execute_shards(web, spec, tasks, engine, workers=workers)
     for crawl_config in configs:
         stats_before = engine.stats.snapshot()
         lane_total = LaneStats()
         accountant = CrawlAccountant(
-            crawl_config, site_total, observers=[dataset.observe],
+            crawl_config, site_total, dataset=dataset,
             obs=obs, checkpoint=checkpoint,
         )
         with accountant:
@@ -210,7 +211,8 @@ def run_crawls(
                             checkpoint.get(crawl_config.index, site.domain)
                         )
                     continue
-                result = results[key]
+                # Popped so each shard's folds die once merged.
+                result = results.pop(key)
                 for outcome in result.outcomes:
                     accountant.record_site(outcome)
                 lane_total.merge(result.lane)
@@ -218,8 +220,9 @@ def run_crawls(
         dataset.record_crawl(accountant.summary)
         summaries.append(accountant.summary)
         if obs is not None:
-            # Attribute this crawl's share of the match telemetry; the
-            # unprefixed filters.* counters stay additive across crawls.
+            # Attribute this crawl's share of the match telemetry (the
+            # merged folds charged it); the unprefixed filters.*
+            # counters stay additive across crawls.
             delta = engine.stats.delta_since(stats_before)
             obs.metrics.record_counts("filters", delta)
             obs.metrics.record_counts(

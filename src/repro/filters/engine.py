@@ -72,6 +72,11 @@ class EngineStats:
         """A frozen copy, for before/after delta attribution."""
         return EngineStats(**self.as_counts())
 
+    def merge(self, other: "EngineStats") -> None:
+        """Add another stats object's counts into this one."""
+        for key, value in vars(other).items():
+            setattr(self, key, getattr(self, key) + value)
+
     def delta_since(self, since: "EngineStats") -> dict[str, int]:
         """Per-field growth since an earlier :meth:`snapshot`.
 

@@ -57,6 +57,11 @@ class CloudfrontMapper:
                         continue
                     counter[registrable_domain(neighbor)] += 1
 
+    def merge(self, other: "CloudfrontMapper") -> None:
+        """Fold another mapper's adjacency counts into this one."""
+        for host, counter in other.adjacency.items():
+            self.adjacency.setdefault(host, Counter()).update(counter)
+
     def derive_mapping(self, labeler: AaLabeler) -> dict[str, str]:
         """cf-host → tenant domain, for hosts adjacent to A&A domains.
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import multiprocessing
 
+from repro.filters import CompiledFilterEngine
 from repro.parallel.worker import (
     ShardResult,
     ShardTask,
@@ -54,20 +55,24 @@ def execute_shards(
     web: SyntheticWeb,
     spec: WebSpec,
     tasks: list[ShardTask],
+    engine: CompiledFilterEngine,
     workers: int = 1,
 ) -> dict[ShardKey, ShardResult]:
     """Run every task, returning results keyed by (crawl, shard).
 
+    ``engine`` labels every crawled resource where its shard runs (see
+    :func:`run_shard`); it must be the engine the web's registry
+    builds, which is what workers without fork inheritance rebuild.
     Raises :class:`ParallelExecutionError` when any worker dies; a
     partial merge would silently skew every downstream table.
     """
     if workers <= 1 or len(tasks) <= 1:
         return {
-            (task.crawl.index, task.shard_index): run_shard(web, task)
+            (task.crawl.index, task.shard_index): run_shard(web, task, engine)
             for task in tasks
         }
     context = _start_context()
-    prime_worker_web(spec, web)
+    prime_worker_web(spec, web, engine)
     results: dict[ShardKey, ShardResult] = {}
     with context.Pool(processes=min(workers, len(tasks))) as pool:
         pending = [

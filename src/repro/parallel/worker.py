@@ -1,23 +1,28 @@
 """The shard worker: crawl one (crawl, shard) unit, return pure data.
 
-Workers never see the obs context, the dataset, or the checkpoint
-journal — they produce :class:`~repro.crawler.outcome.SiteOutcome`
-records and lane telemetry, both plain picklable data, and the parent
-replays them in canonical order. The synthetic web is heavy to pickle,
-so it rides into workers by fork inheritance (:func:`prime_worker_web`
-sets a module global the child inherits copy-on-write); on start
-methods without inheritance each worker rebuilds it from the
-:class:`WebSpec`, which is deterministic by construction.
+Workers never see the obs context, the study's dataset, or the
+checkpoint journal — they produce
+:class:`~repro.crawler.outcome.SiteOutcome` records, each carrying its
+site's pages folded into a dataset partial through the shard's filter
+engine, and lane telemetry, all plain picklable data; the parent
+replays them in canonical order. The synthetic web and the engine are
+heavy to pickle, so they ride into workers by fork inheritance
+(:func:`prime_worker_web` sets a module global the child inherits
+copy-on-write); on start methods without inheritance each worker
+rebuilds both from the :class:`WebSpec`, deterministic by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.crawler.crawler import CrawlConfig, Crawler
+from repro.crawler.dataset import StudyDataset
 from repro.crawler.outcome import LaneStats, SiteOutcome
 from repro.faults import FaultInjector, profile_named
+from repro.filters import CompiledFilterEngine
 from repro.web.alexa import Site
+from repro.web.filterlists import build_filter_engine
 from repro.web.server import SyntheticWeb, WebScale
 
 
@@ -85,40 +90,56 @@ def shard_injector(task: ShardTask) -> FaultInjector | None:
                          event_lane=task.shard_index)
 
 
-def run_shard(web: SyntheticWeb, task: ShardTask) -> ShardResult:
-    """Crawl one shard on a fresh lane; no side effects beyond it."""
+def run_shard(
+    web: SyntheticWeb, task: ShardTask, engine: CompiledFilterEngine
+) -> ShardResult:
+    """Crawl one shard on a fresh lane; no side effects beyond it.
+
+    Each site's pages fold through ``engine`` into a fresh partial as
+    the site finishes, and keep only their sockets after.
+    """
     crawler = Crawler(web, task.crawl, faults=shard_injector(task))
-    outcomes, lane = crawler.collect_outcomes(task.sites)
+    lane = crawler.make_lane()
+    dataset = StudyDataset(engine=engine)
+    outcomes: list[SiteOutcome] = []
+    for site in task.sites:
+        outcome = crawler.crawl_site(site, lane)
+        outcome.fold = dataset.spawn()
+        for page in outcome.pages:
+            if page.observation is not None:
+                outcome.fold.observe(page.observation)
+                page.observation = replace(page.observation, resources=[])
+        outcomes.append(outcome)
     return ShardResult(
         crawl_index=task.crawl.index,
         shard_index=task.shard_index,
         outcomes=outcomes,
-        lane=lane,
+        lane=lane.stats(crawler.faults),
     )
 
 
 # -- worker-process plumbing ----------------------------------------------
 
-_worker_web: tuple[WebSpec, SyntheticWeb] | None = None
+_worker_web: tuple[WebSpec, SyntheticWeb, CompiledFilterEngine] | None = None
 
 
-def prime_worker_web(spec: WebSpec, web: SyntheticWeb) -> None:
-    """Install the already-built web for fork-inherited workers.
+def prime_worker_web(
+    spec: WebSpec, web: SyntheticWeb, engine: CompiledFilterEngine
+) -> None:
+    """Install the already-built web and engine for fork-inherited workers.
 
     Called in the parent before the pool forks; children inherit the
     global copy-on-write and skip the rebuild entirely.
     """
     global _worker_web
-    _worker_web = (spec, web)
-
-
-def _web_for(spec: WebSpec) -> SyntheticWeb:
-    global _worker_web
-    if _worker_web is None or _worker_web[0] != spec:
-        _worker_web = (spec, spec.build())
-    return _worker_web[1]
+    _worker_web = (spec, web, engine)
 
 
 def run_shard_task(task: ShardTask) -> ShardResult:
-    """Pool entry point: resolve the web, crawl the shard."""
-    return run_shard(_web_for(task.web), task)
+    """Pool entry point: resolve the web and engine, crawl the shard."""
+    global _worker_web
+    if _worker_web is None or _worker_web[0] != task.web:
+        web = task.web.build()
+        _worker_web = (task.web, web, build_filter_engine(web.registry))
+    _, web, engine = _worker_web
+    return run_shard(web, task, engine)

@@ -130,15 +130,12 @@ def _assemble(
     *,
     version: int,
     phase_lists: Mapping[str, "list[FilterList]"],
+    engines: Mapping[str, CompiledFilterEngine],
     labeler: AaLabeler,
     tag_counter: DomainTagCounter,
     artifacts: Mapping[str, Any],
     dataset_fingerprint: str,
 ) -> ServeSnapshot:
-    engines = {
-        phase: CompiledFilterEngine(lists)
-        for phase, lists in phase_lists.items()
-    }
     return ServeSnapshot(
         version=version,
         fingerprint=snapshot_fingerprint(
@@ -177,8 +174,9 @@ def build_scale_snapshot(
 
     The labeling state is derived deterministically: a request corpus
     sampled from the lists is matched through the default phase's
-    engine and each URL's host is tagged with its own verdict, giving
-    an ``a(d)/n(d)`` corpus whose labeler agrees with the lists.
+    engine (the snapshot's own, so each phase compiles once) and each
+    URL's host is tagged with its own verdict, giving an ``a(d)/n(d)``
+    corpus whose labeler agrees with the lists.
     """
     if scale not in LIST_SCALES:
         raise ValueError(
@@ -195,7 +193,11 @@ def build_scale_snapshot(
         for phase, phase_seed in phase_seeds.items()
     }
     default_lists = next(iter(phase_lists.values()))
-    engine = CompiledFilterEngine(default_lists)
+    engines = {
+        phase: CompiledFilterEngine(lists)
+        for phase, lists in phase_lists.items()
+    }
+    engine = next(iter(engines.values()))
     tag_counter = DomainTagCounter()
     corpus = generate_request_corpus(
         default_lists, _SCALE_TAG_CORPUS, seed=seed
@@ -212,6 +214,7 @@ def build_scale_snapshot(
     return _assemble(
         version=version,
         phase_lists=phase_lists,
+        engines=engines,
         labeler=labeler,
         tag_counter=tag_counter,
         artifacts={},
@@ -247,6 +250,7 @@ def build_dataset_snapshot(
     return _assemble(
         version=version,
         phase_lists=phase_lists,
+        engines={"study": CompiledFilterEngine(lists)},
         labeler=result.labeler,
         tag_counter=dataset.tag_counter,
         artifacts=artifacts,

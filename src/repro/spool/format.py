@@ -31,7 +31,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 SPOOL_FORMAT = "repro.spool"
-SPOOL_VERSION = 1
+#: Version 2: a site entry journals the site's dataset fold, not its
+#: page observations; version-1 segments are refused at recovery.
+SPOOL_VERSION = 2
 
 _PREFIX = struct.Struct(">II")
 PREFIX_BYTES = _PREFIX.size

@@ -1,10 +1,11 @@
 """Draining the spool into the v2 dataset file, idempotently.
 
-The importer replays sealed spool segments — each holding the crawl
-journal records the accountant appended in canonical site order — into
-a :class:`~repro.crawler.dataset.StudyDataset` and writes the v2
-dataset file, extending any previous import. Three properties carry
-the crash-safety story:
+The importer merges the per-site dataset folds journaled in sealed
+spool segments — appended by the accountant in canonical site order,
+each already labeled by the shard that crawled it — into a
+:class:`~repro.crawler.dataset.StudyDataset` and writes the v2 dataset
+file, extending any previous import. It matches no filter. Three
+properties carry the crash-safety story:
 
 **Canonical order.** Segments replay in ``(shard, seq)`` order, which
 is exactly the order the accountant journaled sites in; first-wins
@@ -47,6 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
+from repro.crawler.dataset import StudyDataset
 from repro.crawler.persistence import (
     DatasetReader,
     SegmentSlice,
@@ -60,28 +62,11 @@ from repro.util.atomicio import atomic_write, fsync_dir
 from repro.util.serialization import dumps, iter_lines
 
 if TYPE_CHECKING:
-    from repro.crawler.dataset import StudyDataset
     from repro.filters import CompiledFilterEngine
 
 JOURNAL_NAME = "import.journal"
 JOURNAL_KIND = "spool-import-journal"
 JOURNAL_VERSION = 1
-
-
-def _default_engine() -> "CompiledFilterEngine":
-    # Same construction as DatasetReader: the filter engine is built
-    # from the full registry regardless of crawl scale, so the replay
-    # tags resources with exactly the rules the crawl used.
-    from repro.web.filterlists import build_filter_engine
-    from repro.web.registry import default_registry
-
-    return build_filter_engine(default_registry())
-
-
-def _fresh_dataset(engine: "CompiledFilterEngine | None") -> "StudyDataset":
-    from repro.crawler.dataset import StudyDataset
-
-    return StudyDataset(engine=engine or _default_engine())
 
 
 @dataclass
@@ -201,15 +186,15 @@ class ImportResult:
 
 def _replay_segment(
     info: SegmentInfo,
-    dataset: "StudyDataset",
+    dataset: StudyDataset,
     known_sites: set[tuple[int, str]],
 ) -> tuple[int, int]:
-    """Replay one segment's journal records into the dataset.
+    """Merge one segment's journaled site folds into the dataset.
 
     Returns ``(new_sites, duplicate_sites)``. Mirrors what the
-    accountant feeds the dataset for each site — every page
-    observation, then the ``(domain, rank)`` slot in the crawl's site
-    list — so replay order in, canonical dataset out.
+    accountant feeds the dataset for each site — the site's fold, then
+    the ``(domain, rank)`` slot in the crawl's site list — so replay
+    order in, canonical dataset out.
     """
     new_sites = 0
     dupes = 0
@@ -232,9 +217,8 @@ def _replay_segment(
             continue
         known_sites.add(key)
         new_sites += 1
-        for page in entry.page_outcomes:
-            if page.observation is not None:
-                dataset.observe(page.observation)
+        if entry.fold is not None:
+            dataset.merge(entry.fold)
         dataset.crawl_sites.setdefault(entry.crawl, []).append(
             (entry.domain, entry.rank)
         )
@@ -248,11 +232,12 @@ def import_spool(
 ) -> ImportResult:
     """Drain every unimported sealed segment into the dataset file.
 
-    Opens (and thereby recovers) the spool, replays new segments onto
-    the existing dataset — restored aggregates plus raw record lines,
-    never a re-crawl — and commits dataset + journal in the two-phase
-    order described in the module docstring. Returns a no-op result
-    when there is nothing new.
+    Opens (and thereby recovers) the spool, merges new segments' folds
+    onto the existing dataset — restored aggregates plus raw record
+    lines, never a re-crawl or a re-match — and commits dataset +
+    journal in the two-phase order described in the module docstring.
+    ``engine`` only becomes the written dataset's engine: an import
+    matches nothing. Returns a no-op result when there is nothing new.
     """
     from repro.spool.store import SpoolStore
 
@@ -286,7 +271,7 @@ def import_spool(
         }
         preamble_skip = reader.preamble_lines
     else:
-        dataset = _fresh_dataset(engine)
+        dataset = StudyDataset(engine=engine)
         known_sites = set()
         preamble_skip = 0
 

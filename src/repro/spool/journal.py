@@ -22,7 +22,9 @@ Two record types live in the spool::
 
 The ``crawl`` record carries what :meth:`StudyDataset.record_crawl`
 needs; it is written lazily before a crawl's first site so an
-untouched crawl leaves no trace.
+untouched crawl leaves no trace. A ``site`` entry holds the site's
+summary counts and its dataset fold, never raw page observations; the
+journal keeps the entries it read at open, but not the ones it writes.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class SpoolJournal:
     ) -> None:
         self.store = store
         self._labels = dict(labels)
-        self._entries: dict[tuple[int, str], SiteCheckpoint] = {}
+        self._restored: dict[tuple[int, str], SiteCheckpoint] = {}
+        self._journaled: set[tuple[int, str]] = set()
         self._crawls_started: set[int] = set()
         self.crawl_labels: dict[int, str] = {}
         for info in store.segments():
@@ -77,21 +80,22 @@ class SpoolJournal:
             self.crawl_labels[payload["index"]] = payload["label"]
         elif kind == "site":
             entry = entry_from_json(payload["entry"])
-            self._entries[(entry.crawl, entry.domain)] = entry
+            self._restored[(entry.crawl, entry.domain)] = entry
+            self._journaled.add((entry.crawl, entry.domain))
         else:
             raise ValueError(f"unknown spool record type {kind!r}")
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._journaled)
 
     def get(self, crawl: int, domain: str) -> SiteCheckpoint | None:
-        """The journaled entry for a site, or ``None`` if unfinished."""
-        return self._entries.get((crawl, domain))
+        """The entry read at open for a site, or ``None``."""
+        return self._restored.get((crawl, domain))
 
     def covers(self, crawl: int, domains: Iterable[str]) -> bool:
         """Whether every one of ``domains`` is journaled for ``crawl``."""
         return all(
-            (crawl, domain) in self._entries for domain in domains
+            (crawl, domain) in self._journaled for domain in domains
         )
 
     def record(self, entry: SiteCheckpoint) -> None:
@@ -105,4 +109,4 @@ class SpoolJournal:
                 shard, {"t": "crawl", "index": entry.crawl, "label": label}
             )
         self.store.append(shard, {"t": "site", "entry": entry_to_json(entry)})
-        self._entries[(entry.crawl, entry.domain)] = entry
+        self._journaled.add((entry.crawl, entry.domain))

@@ -123,10 +123,13 @@ def run_full_lint(
         registry = default_registry()
     result = FullLintResult()
 
-    lists = build_filter_lists(registry) if registry else []
+    # One analysis serves the list diagnostics and every cross-check.
+    if check_lists or check_webrequest:
+        analysis = analyze_filter_lists(build_filter_lists(registry),
+                                        registry=registry)
     if check_lists:
-        result.filter_analysis = analyze_filter_lists(lists, registry=registry)
-        result.report.extend(result.filter_analysis.report)
+        result.filter_analysis = analysis
+        result.report.extend(analysis.report)
 
     if check_webrequest:
         for label, chrome_major, ws_aware in _LISTENER_CONFIGS:
@@ -135,7 +138,7 @@ def run_full_lint(
             result.listener_verdicts.append((label, verdict))
             result.report.extend(verdict_report)
             records = cross_validate_receivers(
-                lists, registry, chrome_major, websocket_aware=ws_aware
+                analysis, registry, chrome_major, websocket_aware=ws_aware
             )
             result.cross_checks[label] = records
             result.report.extend(cross_validation_report(records))

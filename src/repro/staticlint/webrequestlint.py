@@ -22,10 +22,10 @@ from repro.extension.webrequest import (
     RequestFilter,
     WebRequestApi,
 )
-from repro.filters import CompiledFilterEngine, FilterList
+from repro.filters import CompiledFilterEngine
 from repro.net.http import HttpRequest, ResourceType
 from repro.staticlint.diagnostics import Diagnostic, LintReport, Severity
-from repro.staticlint.filterlint import analyze_filter_lists
+from repro.staticlint.filterlint import FilterListAnalysis
 from repro.staticlint.probes import THIRD_PARTY_CONTEXT
 from repro.web.model import FIRST_PARTY
 
@@ -173,7 +173,7 @@ def receiver_companies(registry) -> list:
 
 
 def cross_validate_receivers(
-    lists: list[FilterList],
+    analysis: FilterListAnalysis,
     registry,
     chrome_major: int,
     websocket_aware: bool = True,
@@ -181,17 +181,18 @@ def cross_validate_receivers(
     """Compare static verdicts against dynamic dispatch, per receiver.
 
     Static side: the filter-list analyzer's blindspot/coverage verdict
-    combined with :func:`classify_listener` over the blocker's actual
-    patterns. Dynamic side: install the blocker on a fresh simulated
-    ``WebRequestApi`` at the given Chrome version and dispatch one
-    handshake per receiver — the per-receiver reduction of the
-    ``bench_wrb.py`` ablation.
+    (``analysis``, over ``registry``'s URL space) combined with
+    :func:`classify_listener` over the blocker's actual patterns.
+    Dynamic side: install a blocker running ``analysis.lists`` on a
+    fresh simulated ``WebRequestApi`` at the given Chrome version and
+    dispatch one handshake per receiver — the per-receiver reduction of
+    the ``bench_wrb.py`` ablation. One analysis serves every listener
+    configuration a lint run cross-checks.
     """
-    analysis = analyze_filter_lists(lists, registry=registry)
     ws_covered = set(analysis.ws_covered_domains)
     blindspots = set(analysis.blindspot_domains)
 
-    engine = CompiledFilterEngine(lists)
+    engine = CompiledFilterEngine(analysis.lists)
     extension = AdBlockerExtension(engine, websocket_aware=websocket_aware)
     patterns = (
         ("http://*", "https://*", "ws://*", "wss://*")

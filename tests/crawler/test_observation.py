@@ -64,7 +64,7 @@ def _build_tree():
     return builder.result()
 
 
-def test_socket_observation_fields():
+def test_observed_socket_fields():
     obs = observe_page(_build_tree(), "pub.example.com", 123, "News", 2)
     assert len(obs.sockets) == 1
     socket = obs.sockets[0]

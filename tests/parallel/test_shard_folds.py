@@ -1,0 +1,42 @@
+"""Every resource is labeled once, in the shard that crawled it.
+
+Shards fold their sites into dataset partials through the filter
+engine; the parent's canonical-order replay only merges them. Counting
+``CompiledFilterEngine.match`` calls (by wrapping it, not by timing)
+pins that the replay matches nothing, and that merging charges the
+engine's stats with exactly the matches the shards made.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import repro.experiments.runner as runner
+from repro.filters import CompiledFilterEngine
+from tests.conftest import TINY_STUDY_CONFIG
+
+CONFIG = dataclasses.replace(TINY_STUDY_CONFIG, crawls=(0, 1))
+
+
+def test_inline_replay_matches_nothing(tiny_web, monkeypatch):
+    phase = {"now": "shards"}
+    calls = {"shards": 0, "replay": 0}
+    real_match = CompiledFilterEngine.match
+    real_execute = runner.execute_shards
+
+    def counting_match(self, *args, **kwargs):
+        calls[phase["now"]] += 1
+        return real_match(self, *args, **kwargs)
+
+    def execute_then_replay(*args, **kwargs):
+        results = real_execute(*args, **kwargs)
+        phase["now"] = "replay"
+        return results
+
+    monkeypatch.setattr(CompiledFilterEngine, "match", counting_match)
+    monkeypatch.setattr(runner, "execute_shards", execute_then_replay)
+    dataset, _ = runner.run_crawls(tiny_web, CONFIG, workers=1)
+
+    assert calls["shards"] > 0
+    assert calls["replay"] == 0
+    assert dataset.engine.stats.matches == calls["shards"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.filters.parser import parse_filter_list
 from repro.net.http import ResourceType
+from repro.staticlint.filterlint import analyze_filter_lists
 from repro.staticlint.webrequestlint import (
     ListenerVerdict,
     classify_listener,
@@ -98,7 +99,8 @@ class TestCrossValidation:
         self, plain_lists, registry, chrome_major, ws_aware
     ):
         records = cross_validate_receivers(
-            plain_lists, registry, chrome_major, websocket_aware=ws_aware
+            analyze_filter_lists(plain_lists, registry=registry),
+            registry, chrome_major, websocket_aware=ws_aware,
         )
         assert records
         assert all(r.agree for r in records)
@@ -109,7 +111,10 @@ class TestCrossValidation:
     def test_plain_lists_mark_tracked_receivers_blindspot(
         self, plain_lists, registry
     ):
-        records = cross_validate_receivers(plain_lists, registry, 58)
+        records = cross_validate_receivers(
+            analyze_filter_lists(plain_lists, registry=registry),
+            registry, 58,
+        )
         flagged = [r for r in records if r.static_blindspot]
         # All but the untracked handful (receivers the lists never
         # target over HTTP either) are blindspots.
@@ -122,13 +127,15 @@ class TestCrossValidation:
         self, ws_rule_lists, registry, chrome_major, ws_aware
     ):
         records = cross_validate_receivers(
-            ws_rule_lists, registry, chrome_major, websocket_aware=ws_aware
+            analyze_filter_lists(ws_rule_lists, registry=registry),
+            registry, chrome_major, websocket_aware=ws_aware,
         )
         assert all(r.agree for r in records)
 
     def test_ws_rules_block_only_after_patch(self, ws_rule_lists, registry):
-        before = cross_validate_receivers(ws_rule_lists, registry, 57)
-        after = cross_validate_receivers(ws_rule_lists, registry, 58)
+        analysis = analyze_filter_lists(ws_rule_lists, registry=registry)
+        before = cross_validate_receivers(analysis, registry, 57)
+        after = cross_validate_receivers(analysis, registry, 58)
         assert not any(r.dynamic_blocked for r in before)  # WRB swallows all
         assert all(r.dynamic_blocked for r in after)
         assert all(r.static_blocked for r in after)
@@ -137,14 +144,18 @@ class TestCrossValidation:
         self, ws_rule_lists, registry
     ):
         records = cross_validate_receivers(
-            ws_rule_lists, registry, 58, websocket_aware=False
+            analyze_filter_lists(ws_rule_lists, registry=registry),
+            registry, 58, websocket_aware=False,
         )
         assert not any(r.dynamic_blocked for r in records)
         assert not any(r.static_blocked for r in records)
         assert all(r.agree for r in records)
 
     def test_disagreement_produces_xcheck_error(self, ws_rule_lists, registry):
-        records = cross_validate_receivers(ws_rule_lists, registry, 58)
+        records = cross_validate_receivers(
+            analyze_filter_lists(ws_rule_lists, registry=registry),
+            registry, 58,
+        )
         from dataclasses import replace
 
         tampered = [replace(records[0], dynamic_blocked=not
