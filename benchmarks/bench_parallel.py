@@ -104,7 +104,7 @@ def _merge_cost(web):
     ]
     engine = build_filter_engine(web.registry)
     t0 = time.perf_counter()
-    results = execute_shards(web, spec, tasks, engine, workers=1)
+    results = list(execute_shards(web, spec, tasks, engine, workers=1))
     exec_seconds = time.perf_counter() - t0
 
     dataset = StudyDataset(engine=engine)
@@ -113,8 +113,7 @@ def _merge_cost(web):
     lane_total = LaneStats()
     accountant = CrawlAccountant(crawl, site_total, dataset=dataset)
     with accountant:
-        for task in tasks:
-            result = results[(crawl.index, task.shard_index)]
+        for result in results:
             for outcome in result.outcomes:
                 accountant.record_site(outcome)
             lane_total.merge(result.lane)
@@ -122,7 +121,7 @@ def _merge_cost(web):
     merge_seconds = time.perf_counter() - t1
 
     # The parallel-specific part alone: folding per-shard lane stats.
-    lanes = [results[(crawl.index, t.shard_index)].lane for t in tasks]
+    lanes = [result.lane for result in results]
     t2 = time.perf_counter()
     for _ in range(100):
         total = LaneStats()

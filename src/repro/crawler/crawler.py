@@ -12,10 +12,11 @@ publishes events, so fault-free runs are unchanged.
 Parallel model (PR 4): crawling and bookkeeping are two phases. A
 :class:`CrawlLane` (browser + bus + fault gate + sim clock) produces
 :class:`~repro.crawler.outcome.SiteOutcome` records — pure data, no
-obs/observer/summary side effects — and a :class:`CrawlAccountant`
+obs/summary side effects; each page observation goes to the caller's
+``observe`` callback and is not kept — and a :class:`CrawlAccountant`
 folds outcomes into the run summary, obs spans/counters, the dataset
-(by merging each site's already-labeled fold) and the checkpoint
-journal, always in canonical site order.
+(by merging each site's already-labeled fold) and the journal, always
+in canonical site order.
 Because producing an outcome never touches the obs tick clock, the
 accountant's replay is byte-identical whether the outcome was crawled
 inline one second ago or in a worker process (see
@@ -48,9 +49,12 @@ from repro.web.server import SyntheticWeb
 
 if TYPE_CHECKING:  # avoids the persistence → dataset → crawler cycle
     from repro.crawler.dataset import StudyDataset
-    from repro.crawler.persistence import CrawlJournal, SiteCheckpoint
+    from repro.crawler.persistence import CrawlJournal
 
 Observer = Callable[[PageObservation], None]
+
+#: Sites between two in-loop ``crawl.progress`` events.
+PROGRESS_EVERY = 25
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,6 @@ class CrawlLane:
     def stats(self, faults: FaultInjector | None) -> LaneStats:
         """Harvest the lane's telemetry (bus, webRequest, faults)."""
         return LaneStats(
-            events_published=self.bus.published_count,
             delivered_count=self.bus.delivered_count,
             published_by_method=dict(self.bus.published_by_method),
             webrequest_counts=self.browser.webrequest.as_counts(),
@@ -161,11 +164,12 @@ class CrawlAccountant:
     """Folds site outcomes into summary, obs, dataset, and journal.
 
     All crawl bookkeeping lives here so the sequential path and the
-    parallel merge are literally the same code: ``record_site`` opens
-    the site/page spans, merges the site's dataset fold, updates the
-    run summary, emits ``crawl.progress``/``crawl.quarantine`` events,
-    and journals the site; ``restore_site`` folds a checkpointed site
-    back in, merging its journaled fold so a resumed study's dataset
+    parallel merge are literally the same code: ``record_site``
+    replays a freshly crawled site's site/page spans and
+    ``crawl.quarantine`` event, folds it in through ``restore_site``,
+    journals it and emits ``crawl.progress``; ``restore_site`` alone
+    is how a journaled site comes back (its counts added to the run
+    summary, its dataset fold merged), so a resumed study's dataset
     equals an uninterrupted one; ``finish`` emits the unconditional
     end-of-crawl progress event and harvests lane telemetry into the
     metrics registry. Nothing here matches a filter: the shard that
@@ -182,14 +186,12 @@ class CrawlAccountant:
         dataset: "StudyDataset | None" = None,
         obs: Obs | None = None,
         checkpoint: "CrawlJournal | None" = None,
-        progress_every: int = 25,
     ) -> None:
         self.config = config
         self.site_total = site_total
         self.dataset = dataset
         self.obs = obs
         self.checkpoint = checkpoint
-        self.progress_every = max(1, progress_every)
         self.summary = CrawlRunSummary(config=config)
         self.tally = ErrorTally()
         self._span_cm = None
@@ -210,35 +212,14 @@ class CrawlAccountant:
 
     def record_site(self, outcome: SiteOutcome) -> None:
         """Fold one freshly crawled site in (canonical-order replay)."""
-        summary = self.summary
         obs = self.obs
-        site_span = (
-            obs.span("site", domain=outcome.domain, rank=outcome.rank)
-            if obs is not None else nullcontext()
-        )
-        with site_span:
-            for page in outcome.pages:
-                page_span = (
-                    obs.span("page", index=page.page_index)
-                    if obs is not None else nullcontext()
-                )
-                with page_span:
-                    if obs is not None and page.observation is not None:
-                        Crawler._count_page(obs, page.observation)
-                if page.observation is None:
-                    summary.pages_failed += 1
-                else:
-                    summary.pages_visited += 1
-                    summary.sockets_observed += len(page.observation.sockets)
-                    summary.sockets_partial += sum(
-                        1 for s in page.observation.sockets if s.partial
-                    )
-        if self.dataset is not None and outcome.fold is not None:
-            self.dataset.merge(outcome.fold)
-        summary.page_retries += outcome.page_retries
-        if outcome.quarantined:
-            summary.sites_quarantined += 1
-            if obs is not None:
+        if obs is not None:
+            with obs.span("site", domain=outcome.domain, rank=outcome.rank):
+                for page in outcome.pages:
+                    with obs.span("page", index=page.page_index):
+                        if page.visited:
+                            Crawler._count_page(obs, page)
+            if outcome.quarantined:
                 obs.event(
                     "crawl.quarantine",
                     crawl=self.config.index,
@@ -246,42 +227,48 @@ class CrawlAccountant:
                     rank=outcome.rank,
                     consecutive_failures=outcome.consecutive_failures,
                 )
-        summary.sites_visited += 1
-        summary.sites.append((outcome.domain, outcome.rank))
-        self.tally.merge(outcome.errors)
+        self.restore_site(outcome)
         if self.checkpoint is not None:
-            self.checkpoint.record(self._checkpoint_entry(outcome))
+            self.checkpoint.record(outcome)
+        sites_done = self.summary.sites_visited
         if obs is not None and (
-            summary.sites_visited % self.progress_every == 0
-            and summary.sites_visited != self.site_total
+            sites_done % PROGRESS_EVERY == 0 and sites_done != self.site_total
         ):
             self._progress_event()
 
-    def restore_site(self, entry: "SiteCheckpoint") -> None:
-        """Fold one journaled site back in, merging its journaled fold.
+    def restore_site(self, outcome: SiteOutcome) -> None:
+        """Add one site's counts to the summary and merge its fold.
 
-        Restored sites reach the dataset (so every table derived from
-        it matches an uninterrupted run) but open no spans and touch no
-        counters: the metrics describe work this process actually did,
+        On its own this is how a journaled site comes back: it reaches
+        the dataset (so every table derived from it matches an
+        uninterrupted run) but opens no spans and touches no counters,
+        because the metrics describe work this process actually did
         and the trace shows the resume for what it is.
         """
-        entry.restore_into(self.summary)
-        self.tally.merge(entry.errors)
-        if self.dataset is not None and entry.fold is not None:
-            self.dataset.merge(entry.fold)
+        summary = self.summary
+        summary.sites_visited += 1
+        summary.sites.append((outcome.domain, outcome.rank))
+        summary.pages_visited += outcome.pages_visited
+        summary.sockets_observed += outcome.sockets_observed
+        summary.pages_failed += outcome.pages_failed
+        summary.page_retries += outcome.page_retries
+        summary.sockets_partial += outcome.sockets_partial
+        summary.events_published += outcome.events_published
+        if outcome.quarantined:
+            summary.sites_quarantined += 1
+        self.tally.merge(outcome.errors)
+        if self.dataset is not None and outcome.fold is not None:
+            self.dataset.merge(outcome.fold)
 
     def finish(self, lane: LaneStats) -> None:
         """End-of-crawl bookkeeping; call once, inside the span."""
         summary = self.summary
         obs = self.obs
         if obs is not None:
-            # Unconditional: fires even when checkpoint restoration or
+            # Unconditional: fires even when journal restoration or
             # quarantine kept the in-loop modulo from landing on the
             # final site.
             self._progress_event()
-        # += so checkpoint-restored sites (folded in via restore_into)
-        # keep their journaled event counts.
-        summary.events_published += lane.events_published
         summary.errors = self.tally.as_counts()
         if obs is not None:
             self._span.set(sites=summary.sites_visited,
@@ -302,24 +289,6 @@ class CrawlAccountant:
             sites_total=self.site_total,
             pages=summary.pages_visited,
             sockets=summary.sockets_observed,
-        )
-
-    def _checkpoint_entry(self, outcome: SiteOutcome) -> "SiteCheckpoint":
-        from repro.crawler.persistence import SiteCheckpoint
-
-        return SiteCheckpoint(
-            crawl=self.config.index,
-            domain=outcome.domain,
-            rank=outcome.rank,
-            status="quarantined" if outcome.quarantined else "ok",
-            pages=outcome.pages_visited,
-            sockets=outcome.sockets_observed,
-            pages_failed=outcome.pages_failed,
-            page_retries=outcome.page_retries,
-            sockets_partial=outcome.sockets_partial,
-            events_published=outcome.events_published,
-            errors=dict(outcome.errors),
-            fold=outcome.fold,
         )
 
     def _harvest(self, obs: Obs, lane: LaneStats) -> None:
@@ -357,7 +326,7 @@ class Crawler:
 
     When an :class:`~repro.obs.Obs` context is supplied, the crawl runs
     under a ``crawl`` span with nested ``site`` and ``page`` spans,
-    emits ``crawl.progress`` events every :attr:`progress_every` sites
+    emits ``crawl.progress`` events every :data:`PROGRESS_EVERY` sites
     (sites done / pages / sockets seen), ``crawl.quarantine`` events
     when a site is abandoned, and harvests the bus's per-method publish
     counts, the ``webRequest`` dispatch counters, the error taxonomy,
@@ -372,7 +341,6 @@ class Crawler:
         observers: Iterable[Observer] = (),
         extension_installer: Callable[[Browser], None] | None = None,
         obs: Obs | None = None,
-        progress_every: int = 25,
         faults: FaultInjector | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
@@ -381,7 +349,6 @@ class Crawler:
         self.observers = list(observers)
         self.extension_installer = extension_installer
         self.obs = obs
-        self.progress_every = max(1, progress_every)
         self.policy = VisitPolicy(pages_per_site=config.pages_per_site)
         self.faults = faults
         self.retry = retry or RetryPolicy()
@@ -409,31 +376,31 @@ class Crawler:
         shard-granular and lives in
         :func:`repro.experiments.runner.run_crawls`. Each observer sees
         every visited page's full observation, resources included, as
-        its site finishes.
+        the page finishes.
         """
         lane = self.make_lane()
         site_list = list(sites) if sites is not None else self.web.seed_list.sites
-        accountant = CrawlAccountant(
-            self.config, len(site_list), obs=self.obs,
-            progress_every=self.progress_every,
-        )
+        accountant = CrawlAccountant(self.config, len(site_list), obs=self.obs)
         with accountant:
             for site in site_list:
-                outcome = self.crawl_site(site, lane)
-                for page in outcome.pages:
-                    if page.observation is not None:
-                        for observer in self.observers:
-                            observer(page.observation)
-                accountant.record_site(outcome)
+                accountant.record_site(
+                    self.crawl_site(site, lane, self._observe)
+                )
             accountant.finish(lane.stats(self.faults))
         return accountant.summary
 
-    def crawl_site(self, site: Site, lane: CrawlLane) -> SiteOutcome:
+    def crawl_site(
+        self,
+        site: Site,
+        lane: CrawlLane,
+        observe: Observer | None = None,
+    ) -> SiteOutcome:
         """Visit one site's page budget; pure outcome production.
 
-        Never touches the obs clock, the observers, the dataset or any
-        summary, so the outcome is identical wherever (and whenever)
-        the site is crawled.
+        Each visited page's observation goes to ``observe`` as the page
+        finishes and is not kept. Never touches the obs clock, the
+        dataset or any summary, so the outcome is identical wherever
+        (and whenever) the site is crawled.
         """
         browser = lane.browser
         browser.new_profile(f"{self.config.index}:{site.domain}")
@@ -448,7 +415,8 @@ class Crawler:
             self.faults is not None
             and self.faults.site_blacked_out(self.config.index, site.domain)
         )
-        outcome = SiteOutcome(domain=site.domain, rank=site.rank)
+        outcome = SiteOutcome(crawl=self.config.index, domain=site.domain,
+                              rank=site.rank)
         events_before = lane.bus.published_count
         consecutive_failures = 0
         for page_index in page_indices:
@@ -459,7 +427,7 @@ class Crawler:
             observation, retries = self._visit_page(
                 blueprint, site, lane, tally, blackout,
             )
-            outcome.pages.append(PageOutcome(page_index, observation))
+            outcome.add_page(page_index, observation)
             outcome.page_retries += retries
             if observation is None:
                 consecutive_failures += 1
@@ -469,6 +437,8 @@ class Crawler:
                     outcome.quarantined = True
             else:
                 consecutive_failures = 0
+                if observe is not None:
+                    observe(observation)
             browser.clock.advance(self.policy.wait_seconds)
             if outcome.quarantined:
                 break
@@ -551,22 +521,21 @@ class Crawler:
         tally.record(CrawlErrorKind.RETRY_EXHAUSTED)
         return None, retries
 
+    def _observe(self, observation: PageObservation) -> None:
+        for observer in self.observers:
+            observer(observation)
+
     @staticmethod
-    def _count_page(obs: Obs, observation: PageObservation) -> None:
+    def _count_page(obs: Obs, page: PageOutcome) -> None:
         metrics = obs.metrics
         metrics.counter("crawler.pages").inc()
-        sockets = observation.sockets
-        if sockets:
-            metrics.counter("crawler.sockets").add(len(sockets))
-            cross = sum(1 for s in sockets if s.cross_origin)
-            if cross:
-                metrics.counter("crawler.sockets_cross_origin").add(cross)
-            attributed = sum(
-                1 for s in sockets
-                if s.initiator_host != s.first_party_host
-            )
-            if attributed:
+        if page.sockets:
+            metrics.counter("crawler.sockets").add(page.sockets)
+            if page.cross_origin:
+                metrics.counter("crawler.sockets_cross_origin").add(
+                    page.cross_origin)
+            if page.third_party_initiated:
                 metrics.counter(
                     "crawler.sockets_third_party_initiated"
-                ).add(attributed)
-        metrics.histogram("crawler.sockets_per_page").observe(len(sockets))
+                ).add(page.third_party_initiated)
+        metrics.histogram("crawler.sockets_per_page").observe(page.sockets)

@@ -1,16 +1,19 @@
-"""Per-site crawl outcomes — the unit of work the parallel engine moves.
+"""Per-site crawl outcomes — the one record of a finished site.
 
-A :class:`SiteOutcome` is everything one site visit produced, with no
-observability or summary bookkeeping attached: the crawler produces
-outcomes (in a worker process or inline), the shard folds each site's
-pages into a dataset partial (:meth:`StudyDataset.spawn`) and keeps
-only their sockets, and the
+A :class:`SiteOutcome` is everything one site visit produced: its
+counts, its pages folded into a dataset partial
+(:meth:`StudyDataset.spawn`) by the shard that crawled it, and the
+per-page socket tallies the trace replay reads. The crawler produces
+outcomes (in a worker process or inline) and hands each full page
+observation to its ``observe`` callback, never keeping it; the
 :class:`~repro.crawler.crawler.CrawlAccountant` folds outcomes into the
 run summary, the obs trace, the dataset (a merge of the partial) and
-the checkpoint journal in canonical site-rank order. Keeping
-production and accounting separate is what makes ``--workers N``
-byte-identical to ``--workers 1``: no matter where a site was crawled,
-its bookkeeping replays in the same order on the same process.
+the journal in canonical site-rank order. The journal stores the same
+record (page tallies aside), so a resumed site restores through the
+same code a crawled one is counted by. Keeping production and
+accounting separate is what makes ``--workers N`` byte-identical to
+``--workers 1``: no matter where a site was crawled, its bookkeeping
+replays in the same order on the same process.
 
 Everything here is plain picklable data (strings, ints, dataclasses of
 the same; a partial pickles without its filter engine) so outcomes can
@@ -31,16 +34,23 @@ if TYPE_CHECKING:  # avoids the dataset → crawler → outcome cycle
 
 @dataclass
 class PageOutcome:
-    """One page visit: its index on the site, and what it measured.
+    """One page visit's socket tallies, for the trace replay.
 
     Attributes:
         page_index: Page index within the site (0 = homepage).
-        observation: The page's measurement record, or ``None`` when
-            the visit exhausted its retries.
+        visited: The visit produced an observation (``False`` when it
+            exhausted its retries).
+        sockets: Sockets observed on the page.
+        cross_origin: Of those, third-party endpoints.
+        third_party_initiated: Of those, opened by a resource whose host
+            is not the page's.
     """
 
     page_index: int
-    observation: PageObservation | None
+    visited: bool
+    sockets: int = 0
+    cross_origin: int = 0
+    third_party_initiated: int = 0
 
 
 @dataclass
@@ -48,57 +58,64 @@ class SiteOutcome:
     """Everything one site visit produced, before any bookkeeping.
 
     Attributes:
+        crawl: Crawl index the site was visited under.
         domain: Site domain.
         rank: Alexa rank.
-        pages: Visited pages in visit order (quarantine truncates).
-        quarantined: The site was abandoned after consecutive failures.
-        consecutive_failures: Failure streak at abandonment time.
+        pages_visited: Pages that produced an observation.
+        sockets_observed: Sockets seen across those pages.
+        pages_failed: Pages abandoned after exhausting retries.
         page_retries: Extra load attempts beyond each page's first.
+        sockets_partial: Observed sockets flagged ``partial``.
         events_published: CDP events the site's visits published (a
             delta of the lane's bus counter — sums to the lane total
             because publishing only happens inside visits).
+        quarantined: The site was abandoned after consecutive failures.
         errors: Error-taxonomy counts for this site (sorted keys).
         fold: The site's pages folded into a dataset partial, set by
-            the shard that crawled it (``None`` straight out of
-            :meth:`~repro.crawler.crawler.Crawler.crawl_site`).
+            the shard that crawled it: what the parent, a resumed
+            study and the spool importer merge instead of matching the
+            pages again.
+        consecutive_failures: Failure streak at abandonment time.
+        pages: Per-page tallies in visit order (quarantine truncates);
+            empty for a journaled site, which replays no spans.
     """
 
+    crawl: int
     domain: str
     rank: int
-    pages: list[PageOutcome] = field(default_factory=list)
-    quarantined: bool = False
-    consecutive_failures: int = 0
+    pages_visited: int = 0
+    sockets_observed: int = 0
+    pages_failed: int = 0
     page_retries: int = 0
+    sockets_partial: int = 0
     events_published: int = 0
+    quarantined: bool = False
     errors: dict[str, int] = field(default_factory=dict)
     fold: "StudyDataset | None" = None
+    consecutive_failures: int = 0
+    pages: list[PageOutcome] = field(default_factory=list)
 
-    @property
-    def pages_visited(self) -> int:
-        """Pages that produced an observation."""
-        return sum(1 for p in self.pages if p.observation is not None)
-
-    @property
-    def pages_failed(self) -> int:
-        """Pages abandoned after exhausting retries."""
-        return sum(1 for p in self.pages if p.observation is None)
-
-    @property
-    def sockets_observed(self) -> int:
-        """Sockets seen across the site's visited pages."""
-        return sum(
-            len(p.observation.sockets)
-            for p in self.pages if p.observation is not None
-        )
-
-    @property
-    def sockets_partial(self) -> int:
-        """Observed sockets flagged ``partial``."""
-        return sum(
-            1
-            for p in self.pages if p.observation is not None
-            for s in p.observation.sockets if s.partial
-        )
+    def add_page(
+        self, page_index: int, observation: PageObservation | None
+    ) -> None:
+        """Count one page visit (``None``: its retries exhausted)."""
+        if observation is None:
+            self.pages_failed += 1
+            self.pages.append(PageOutcome(page_index, visited=False))
+            return
+        sockets = observation.sockets
+        self.pages_visited += 1
+        self.sockets_observed += len(sockets)
+        self.sockets_partial += sum(1 for s in sockets if s.partial)
+        self.pages.append(PageOutcome(
+            page_index,
+            visited=True,
+            sockets=len(sockets),
+            cross_origin=sum(1 for s in sockets if s.cross_origin),
+            third_party_initiated=sum(
+                1 for s in sockets if s.initiator_host != s.first_party_host
+            ),
+        ))
 
 
 @dataclass
@@ -109,17 +126,16 @@ class LaneStats:
     Lane stats are additive: the accountant merges every shard's stats
     into one per-crawl total before harvesting them into the metrics
     registry, so a four-shard crawl reports the same counters a
-    one-lane crawl would.
+    one-lane crawl would. (The events a lane published are counted per
+    site, on :attr:`SiteOutcome.events_published`.)
 
     Attributes:
-        events_published: CDP events the lane's bus accepted.
         delivered_count: Event deliveries to subscribers.
         published_by_method: Publish counts by CDP method name.
         webrequest_counts: ``webRequest`` dispatch counters.
         fault_counters: Injected-fault counts (empty without faults).
     """
 
-    events_published: int = 0
     delivered_count: int = 0
     published_by_method: dict[str, int] = field(default_factory=dict)
     webrequest_counts: dict[str, int] = field(default_factory=dict)
@@ -127,7 +143,6 @@ class LaneStats:
 
     def merge(self, other: "LaneStats") -> None:
         """Fold another lane's telemetry in (all fields additive)."""
-        self.events_published += other.events_published
         self.delivered_count += other.delivered_count
         for target, source in (
             (self.published_by_method, other.published_by_method),

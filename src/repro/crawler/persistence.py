@@ -10,12 +10,11 @@ byte stream :func:`save_dataset` writes, so a live dataset and its
 saved file share one content address for the stage cache, and
 :class:`SegmentSlice` content-addresses a record range of one.
 
-This module also holds the crawl journal's entry type and codec
-(:class:`SiteCheckpoint`, whose per-site fold is written with the
-dataset file's aggregate and socket-record encoders) and the
-interface the crawler resumes from
-(:class:`CrawlJournal`); :class:`repro.spool.SpoolJournal` is the
-journal that implements it.
+This module also holds the crawl journal's entry codec (a finished
+site's :class:`~repro.crawler.outcome.SiteOutcome`, whose fold is
+written with the dataset file's aggregate and socket-record encoders)
+and the interface the crawler resumes from (:class:`CrawlJournal`);
+:class:`repro.spool.SpoolJournal` is the journal that implements it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import hashlib
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Protocol
 
@@ -37,6 +36,7 @@ from repro.crawler.dataset import (
     SocketRecord,
     StudyDataset,
 )
+from repro.crawler.outcome import SiteOutcome
 from repro.labeling.aa_labeler import DomainTagCounter
 from repro.labeling.cloudfront import CloudfrontMapper
 from repro.util.serialization import (
@@ -47,7 +47,6 @@ from repro.util.serialization import (
 )
 
 if TYPE_CHECKING:
-    from repro.crawler.crawler import CrawlRunSummary
     from repro.filters import CompiledFilterEngine
 
 DATASET_FORMAT = "repro.dataset"
@@ -577,54 +576,6 @@ def open_dataset(
 # -- checkpoint journal ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SiteCheckpoint:
-    """One finished site, as journaled by the crawler.
-
-    Attributes:
-        crawl: Crawl index the site was visited under.
-        domain: Site domain.
-        rank: Alexa rank.
-        status: ``"ok"`` or ``"quarantined"``.
-        pages: Page observations the site produced.
-        sockets: Sockets observed on those pages.
-        pages_failed: Pages abandoned after exhausting retries.
-        page_retries: Extra load attempts beyond each page's first.
-        sockets_partial: Observed sockets flagged ``partial``.
-        events_published: CDP events the site's visits published.
-        errors: The site's error-taxonomy counts.
-        fold: The site's pages folded into a dataset partial (see
-            :meth:`StudyDataset.spawn`): what a resumed study and the
-            spool importer merge instead of matching the pages again.
-    """
-
-    crawl: int
-    domain: str
-    rank: int
-    status: str
-    pages: int
-    sockets: int
-    pages_failed: int = 0
-    page_retries: int = 0
-    sockets_partial: int = 0
-    events_published: int = 0
-    errors: dict[str, int] = field(default_factory=dict)
-    fold: StudyDataset | None = None
-
-    def restore_into(self, summary: "CrawlRunSummary") -> None:
-        """Fold this journaled site back into a resumed run's summary."""
-        summary.sites_visited += 1
-        summary.sites.append((self.domain, self.rank))
-        summary.pages_visited += self.pages
-        summary.sockets_observed += self.sockets
-        summary.pages_failed += self.pages_failed
-        summary.page_retries += self.page_retries
-        summary.sockets_partial += self.sockets_partial
-        summary.events_published += self.events_published
-        if self.status == "quarantined":
-            summary.sites_quarantined += 1
-
-
 def fold_to_json(fold: StudyDataset) -> dict:
     """Encode a page fold with the dataset file's encoders.
 
@@ -653,14 +604,15 @@ def fold_from_json(payload: dict) -> StudyDataset:
     return fold
 
 
-def entry_to_json(entry: SiteCheckpoint) -> dict:
+def entry_to_json(entry: SiteOutcome) -> dict:
+    """Encode a finished site for the journal (its page tallies stay out)."""
     return {
         "crawl": entry.crawl,
         "domain": entry.domain,
         "rank": entry.rank,
-        "status": entry.status,
-        "pages": entry.pages,
-        "sockets": entry.sockets,
+        "status": "quarantined" if entry.quarantined else "ok",
+        "pages": entry.pages_visited,
+        "sockets": entry.sockets_observed,
         "pages_failed": entry.pages_failed,
         "page_retries": entry.page_retries,
         "sockets_partial": entry.sockets_partial,
@@ -670,14 +622,14 @@ def entry_to_json(entry: SiteCheckpoint) -> dict:
     }
 
 
-def entry_from_json(payload: dict) -> SiteCheckpoint:
-    return SiteCheckpoint(
+def entry_from_json(payload: dict) -> SiteOutcome:
+    return SiteOutcome(
         crawl=payload["crawl"],
         domain=payload["domain"],
         rank=payload["rank"],
-        status=payload["status"],
-        pages=payload["pages"],
-        sockets=payload["sockets"],
+        quarantined=payload["status"] == "quarantined",
+        pages_visited=payload["pages"],
+        sockets_observed=payload["sockets"],
         pages_failed=payload["pages_failed"],
         page_retries=payload["page_retries"],
         sockets_partial=payload["sockets_partial"],
@@ -702,7 +654,7 @@ class CrawlJournal(Protocol):
 
     def __len__(self) -> int: ...
 
-    def get(self, crawl: int, domain: str) -> SiteCheckpoint | None:
+    def get(self, crawl: int, domain: str) -> SiteOutcome | None:
         """The entry an earlier run journaled for a site, or ``None``.
 
         Entries recorded through this journal are not held in memory:
@@ -718,5 +670,5 @@ class CrawlJournal(Protocol):
         journaled shard is re-crawled whole.
         """
 
-    def record(self, entry: SiteCheckpoint) -> None:
+    def record(self, entry: SiteOutcome) -> None:
         """Durably append one finished site."""

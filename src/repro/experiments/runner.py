@@ -9,7 +9,7 @@ compute every table and figure.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -38,7 +38,13 @@ from repro.crawler.persistence import CrawlJournal
 from repro.labeling.aa_labeler import AaLabeler
 from repro.labeling.resolver import DomainResolver
 from repro.obs import Obs, ObsSummary
-from repro.parallel import ShardTask, WebSpec, execute_shards, plan_shards
+from repro.parallel import (
+    Shard,
+    ShardTask,
+    WebSpec,
+    execute_shards,
+    plan_shards,
+)
 from repro.staticlint.runner import FullLintResult, run_full_lint
 from repro.web.filterlists import build_filter_engine
 from repro.web.server import SyntheticWeb, WebScale
@@ -161,13 +167,15 @@ def run_crawls(
 
     Every run shards the seed list (:mod:`repro.parallel`); each shard
     labels its own resources into per-site dataset folds, and the
-    folds merge in canonical site-rank order. ``workers`` only chooses
-    where shards execute (inline for 1, a multiprocessing pool
-    otherwise), so artifacts are byte-identical across worker counts.
-    The ``faults`` profile on ``config`` gives each (crawl, shard) its
-    own seeded fault lane; a ``checkpoint`` journal lets an
-    interrupted study resume, restoring fully journaled shards (their
-    folds included) and re-crawling partial ones whole.
+    folds merge in canonical site-rank order, each shard as soon as it
+    is done, so a ``checkpoint`` journal grows while later shards
+    still crawl. ``workers`` only chooses where shards execute (inline
+    for 1, a multiprocessing pool otherwise), so artifacts are
+    byte-identical across worker counts. The ``faults`` profile on
+    ``config`` gives each (crawl, shard) its own seeded fault lane; a
+    ``checkpoint`` journal lets an interrupted study resume, restoring
+    fully journaled shards (their folds included) and re-crawling
+    partial ones whole.
     """
     engine = build_filter_engine(web.registry)
     dataset = StudyDataset(engine=engine)
@@ -177,57 +185,55 @@ def run_crawls(
     shards = plan_shards(web.seed_list.sites)
     site_total = len(web.seed_list.sites)
     configs = crawl_configs(web, config)
-    restored: set[tuple[int, int]] = set()
-    tasks: list[ShardTask] = []
-    for crawl_config in configs:
-        for shard in shards:
-            if checkpoint is not None and checkpoint.covers(
-                crawl_config.index, (site.domain for site in shard.sites)
-            ):
-                restored.add((crawl_config.index, shard.index))
-                continue
-            tasks.append(ShardTask(
-                crawl=crawl_config,
-                shard_index=shard.index,
-                sites=shard.sites,
-                faults=config.faults,
-                study_seed=config.seed,
-                web=spec,
-            ))
-    results = execute_shards(web, spec, tasks, engine, workers=workers)
-    for crawl_config in configs:
-        stats_before = engine.stats.snapshot()
-        lane_total = LaneStats()
-        accountant = CrawlAccountant(
-            crawl_config, site_total, dataset=dataset,
-            obs=obs, checkpoint=checkpoint,
+
+    def journaled(crawl_config: CrawlConfig, shard: Shard) -> bool:
+        # Stable while the loop below runs: it journals a shard's
+        # sites only after asking about that shard.
+        return checkpoint is not None and checkpoint.covers(
+            crawl_config.index, (site.domain for site in shard.sites)
         )
-        with accountant:
-            for shard in shards:
-                key = (crawl_config.index, shard.index)
-                if key in restored:
-                    for site in shard.sites:
-                        accountant.restore_site(
-                            checkpoint.get(crawl_config.index, site.domain)
-                        )
-                    continue
-                # Popped so each shard's folds die once merged.
-                result = results.pop(key)
-                for outcome in result.outcomes:
-                    accountant.record_site(outcome)
-                lane_total.merge(result.lane)
-            accountant.finish(lane_total)
-        dataset.record_crawl(accountant.summary)
-        summaries.append(accountant.summary)
-        if obs is not None:
-            # Attribute this crawl's share of the match telemetry (the
-            # merged folds charged it); the unprefixed filters.*
-            # counters stay additive across crawls.
-            delta = engine.stats.delta_since(stats_before)
-            obs.metrics.record_counts("filters", delta)
-            obs.metrics.record_counts(
-                f"filters.by_crawl.{crawl_config.index}", delta
+
+    tasks = [
+        ShardTask(crawl=crawl_config, shard_index=shard.index,
+                  sites=shard.sites, faults=config.faults,
+                  study_seed=config.seed, web=spec)
+        for crawl_config in configs for shard in shards
+        if not journaled(crawl_config, shard)
+    ]
+    # Closed on the way out, so a failed merge stops a pool's workers.
+    with closing(execute_shards(web, spec, tasks, engine,
+                                workers=workers)) as results:
+        for crawl_config in configs:
+            stats_before = engine.stats.snapshot()
+            lane_total = LaneStats()
+            accountant = CrawlAccountant(
+                crawl_config, site_total, dataset=dataset,
+                obs=obs, checkpoint=checkpoint,
             )
+            with accountant:
+                for shard in shards:
+                    if journaled(crawl_config, shard):
+                        for site in shard.sites:
+                            accountant.restore_site(
+                                checkpoint.get(crawl_config.index, site.domain)
+                            )
+                        continue
+                    result = next(results)
+                    for outcome in result.outcomes:
+                        accountant.record_site(outcome)
+                    lane_total.merge(result.lane)
+                accountant.finish(lane_total)
+            dataset.record_crawl(accountant.summary)
+            summaries.append(accountant.summary)
+            if obs is not None:
+                # Attribute this crawl's share of the match telemetry (the
+                # merged folds charged it); the unprefixed filters.*
+                # counters stay additive across crawls.
+                delta = engine.stats.delta_since(stats_before)
+                obs.metrics.record_counts("filters", delta)
+                obs.metrics.record_counts(
+                    f"filters.by_crawl.{crawl_config.index}", delta
+                )
     if obs is not None:
         stats = engine.stats
         obs.metrics.histogram(

@@ -7,8 +7,9 @@ fixed-size, rank-ordered shards (:func:`plan_shards`) whose boundaries
 depend only on the seed list — never on the worker count. Each
 (crawl, shard) pair is crawled on its own lane (browser + event bus +
 fault-injector event stream), inline or on a ``multiprocessing``
-worker pool (:func:`execute_shards`), and the results are folded back
-into the study in canonical site-rank order by the crawl accountant.
+worker pool (:func:`execute_shards`), and the results stream back in
+task order, each folded into the study by the crawl accountant, in
+canonical site-rank order, as soon as it is done.
 
 Because outcome production never touches the obs tick clock, replaying
 outcomes parent-side reproduces the exact span/event/counter stream a

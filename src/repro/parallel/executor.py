@@ -1,20 +1,20 @@
 """Dispatch shard tasks inline or across a multiprocessing pool.
 
-The executor is deliberately dumb: it runs every task and hands back a
-``{(crawl_index, shard_index): ShardResult}`` map. All ordering
-guarantees live in the caller, which folds results in canonical shard
-order regardless of completion order — so scheduling jitter in the
-pool can never reach an artifact.
+The executor is deliberately dumb: it streams one ``ShardResult`` per
+task, in task order, each as soon as it is done — so the caller merges
+(and journals) a shard while later shards still crawl, and scheduling
+jitter in the pool can never reach an artifact.
 
-``workers=1`` executes inline in the parent process (no pickling, no
-pool), which keeps the default study path dependency-free and makes
-the single-worker run the reference the multi-worker run must match
-byte-for-byte.
+``workers=1`` executes inline in the parent process, one task per
+result drawn (no pickling, no pool), which keeps the default study
+path dependency-free and makes the single-worker run the reference the
+multi-worker run must match byte-for-byte.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from typing import Iterator
 
 from repro.filters import CompiledFilterEngine
 from repro.parallel.worker import (
@@ -27,19 +27,15 @@ from repro.parallel.worker import (
 )
 from repro.web.server import SyntheticWeb
 
-ShardKey = tuple[int, int]
-
 
 class ParallelExecutionError(RuntimeError):
     """A shard worker failed; the study cannot merge a complete crawl."""
 
-    def __init__(self, key: ShardKey, cause: BaseException) -> None:
-        crawl_index, shard_index = key
+    def __init__(self, task: ShardTask, cause: BaseException) -> None:
         super().__init__(
-            f"shard worker failed (crawl {crawl_index}, "
-            f"shard {shard_index}): {cause!r}"
+            f"shard worker failed (crawl {task.crawl.index}, "
+            f"shard {task.shard_index}): {cause!r}"
         )
-        self.key = key
 
 
 def _start_context() -> multiprocessing.context.BaseContext:
@@ -57,32 +53,28 @@ def execute_shards(
     tasks: list[ShardTask],
     engine: CompiledFilterEngine,
     workers: int = 1,
-) -> dict[ShardKey, ShardResult]:
-    """Run every task, returning results keyed by (crawl, shard).
+) -> Iterator[ShardResult]:
+    """Stream one result per task, in task order, as each is done.
 
-    ``engine`` labels every crawled resource where its shard runs (see
-    :func:`run_shard`); it must be the engine the web's registry
-    builds, which is what workers without fork inheritance rebuild.
-    Raises :class:`ParallelExecutionError` when any worker dies; a
-    partial merge would silently skew every downstream table.
+    Inline, each task runs when its result is drawn; a pool runs ahead
+    of the draws. ``engine`` labels every crawled resource where its
+    shard runs (see :func:`run_shard`); it must be the engine the
+    web's registry builds, which is what workers without fork
+    inheritance rebuild. Raises :class:`ParallelExecutionError` when
+    any worker dies; a partial merge would silently skew every
+    downstream table.
     """
     if workers <= 1 or len(tasks) <= 1:
-        return {
-            (task.crawl.index, task.shard_index): run_shard(web, task, engine)
-            for task in tasks
-        }
+        for task in tasks:
+            yield run_shard(web, task, engine)
+        return
     context = _start_context()
     prime_worker_web(spec, web, engine)
-    results: dict[ShardKey, ShardResult] = {}
     with context.Pool(processes=min(workers, len(tasks))) as pool:
-        pending = [
-            ((task.crawl.index, task.shard_index),
-             pool.apply_async(run_shard_task, (task,)))
-            for task in tasks
-        ]
-        for key, handle in pending:
+        results = pool.imap(run_shard_task, tasks)
+        for task in tasks:
             try:
-                results[key] = handle.get()
+                result = next(results)
             except Exception as error:
-                raise ParallelExecutionError(key, error) from error
-    return results
+                raise ParallelExecutionError(task, error) from error
+            yield result

@@ -1,11 +1,12 @@
 """The shard worker: crawl one (crawl, shard) unit, return pure data.
 
 Workers never see the obs context, the study's dataset, or the
-checkpoint journal — they produce
-:class:`~repro.crawler.outcome.SiteOutcome` records, each carrying its
-site's pages folded into a dataset partial through the shard's filter
-engine, and lane telemetry, all plain picklable data; the parent
-replays them in canonical order. The synthetic web and the engine are
+journal — they produce :class:`~repro.crawler.outcome.SiteOutcome`
+records, each carrying its site's pages folded into a dataset partial
+through the shard's filter engine as the crawler observes them (no
+page observation outlives its fold), and lane telemetry, all plain
+picklable data; the parent merges them in canonical order. The
+synthetic web and the engine are
 heavy to pickle, so they ride into workers by fork inheritance
 (:func:`prime_worker_web` sets a module global the child inherits
 copy-on-write); on start methods without inheritance each worker
@@ -14,7 +15,7 @@ rebuilds both from the :class:`WebSpec`, deterministic by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.crawler.crawler import CrawlConfig, Crawler
 from repro.crawler.dataset import StudyDataset
@@ -69,8 +70,6 @@ class ShardTask:
 class ShardResult:
     """What one shard produced, ready to merge parent-side."""
 
-    crawl_index: int
-    shard_index: int
     outcomes: list[SiteOutcome] = field(default_factory=list)
     lane: LaneStats = field(default_factory=LaneStats)
 
@@ -96,26 +95,18 @@ def run_shard(
     """Crawl one shard on a fresh lane; no side effects beyond it.
 
     Each site's pages fold through ``engine`` into a fresh partial as
-    the site finishes, and keep only their sockets after.
+    the crawler observes them.
     """
     crawler = Crawler(web, task.crawl, faults=shard_injector(task))
     lane = crawler.make_lane()
     dataset = StudyDataset(engine=engine)
     outcomes: list[SiteOutcome] = []
     for site in task.sites:
-        outcome = crawler.crawl_site(site, lane)
-        outcome.fold = dataset.spawn()
-        for page in outcome.pages:
-            if page.observation is not None:
-                outcome.fold.observe(page.observation)
-                page.observation = replace(page.observation, resources=[])
+        fold = dataset.spawn()
+        outcome = crawler.crawl_site(site, lane, fold.observe)
+        outcome.fold = fold
         outcomes.append(outcome)
-    return ShardResult(
-        crawl_index=task.crawl.index,
-        shard_index=task.shard_index,
-        outcomes=outcomes,
-        lane=lane.stats(crawler.faults),
-    )
+    return ShardResult(outcomes=outcomes, lane=lane.stats(crawler.faults))
 
 
 # -- worker-process plumbing ----------------------------------------------

@@ -31,11 +31,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.crawler.persistence import (
-    SiteCheckpoint,
-    entry_from_json,
-    entry_to_json,
-)
+from repro.crawler.outcome import SiteOutcome
+from repro.crawler.persistence import entry_from_json, entry_to_json
 from repro.spool.segment import parse_segment_id, read_segment
 
 if TYPE_CHECKING:
@@ -62,7 +59,7 @@ class SpoolJournal:
     ) -> None:
         self.store = store
         self._labels = dict(labels)
-        self._restored: dict[tuple[int, str], SiteCheckpoint] = {}
+        self._restored: dict[tuple[int, str], SiteOutcome] = {}
         self._journaled: set[tuple[int, str]] = set()
         self._crawls_started: set[int] = set()
         self.crawl_labels: dict[int, str] = {}
@@ -88,7 +85,7 @@ class SpoolJournal:
     def __len__(self) -> int:
         return len(self._journaled)
 
-    def get(self, crawl: int, domain: str) -> SiteCheckpoint | None:
+    def get(self, crawl: int, domain: str) -> SiteOutcome | None:
         """The entry read at open for a site, or ``None``."""
         return self._restored.get((crawl, domain))
 
@@ -98,7 +95,7 @@ class SpoolJournal:
             (crawl, domain) in self._journaled for domain in domains
         )
 
-    def record(self, entry: SiteCheckpoint) -> None:
+    def record(self, entry: SiteOutcome) -> None:
         """Durably append one finished site to the crawl's shard."""
         shard = shard_for_crawl(entry.crawl)
         if entry.crawl not in self._crawls_started:

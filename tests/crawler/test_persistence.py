@@ -1,14 +1,14 @@
-"""Tests for socket-record archiving and journal entries.
+"""Tests for socket-record archiving and restoring journaled sites.
 
 The journal itself (:class:`repro.spool.SpoolJournal`) is tested in
 ``tests/spool/test_journal.py``.
 """
 
 from repro.content.items import ReceivedClass, SentItem
-from repro.crawler.crawler import CrawlConfig, CrawlRunSummary
+from repro.crawler.crawler import CrawlAccountant, CrawlConfig
 from repro.crawler.dataset import SocketRecord
+from repro.crawler.outcome import SiteOutcome
 from repro.crawler.persistence import (
-    SiteCheckpoint,
     load_socket_records,
     save_socket_records,
     socket_record_from_json,
@@ -82,17 +82,19 @@ def test_real_dataset_round_trips(tiny_study, tmp_path):
     assert load_socket_records(path) == records
 
 
-# -- journal entries ------------------------------------------------------
+# -- journaled sites -------------------------------------------------------
 
 
-def test_checkpoint_restore_folds_into_summary(tmp_path):
-    summary = CrawlRunSummary(config=CrawlConfig(
+def test_checkpoint_restore_folds_into_summary():
+    accountant = CrawlAccountant(CrawlConfig(
         index=0, label="x", chrome_major=57, start_date="2017-04-02"
-    ))
-    SiteCheckpoint(crawl=0, domain="a.com", rank=1, status="ok",
-                   pages=15, sockets=4).restore_into(summary)
-    SiteCheckpoint(crawl=0, domain="b.com", rank=2, status="quarantined",
-                   pages=3, sockets=0).restore_into(summary)
+    ), site_total=2)
+    accountant.restore_site(SiteOutcome(
+        crawl=0, domain="a.com", rank=1, pages_visited=15,
+        sockets_observed=4))
+    accountant.restore_site(SiteOutcome(
+        crawl=0, domain="b.com", rank=2, quarantined=True, pages_visited=3))
+    summary = accountant.summary
     assert summary.sites_visited == 2
     assert summary.pages_visited == 18
     assert summary.sockets_observed == 4

@@ -6,6 +6,7 @@ re-run must not.
 """
 
 import json
+import subprocess
 
 import pytest
 
@@ -47,10 +48,20 @@ def test_fingerprint_is_stable_and_short():
 
 
 def test_git_sha_in_repo_and_fallback(tmp_path):
-    sha = git_sha()
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    identity = ["-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"],
+                 [*identity, "commit", "-q", "--allow-empty", "-m", "empty"]):
+        subprocess.run(["git", *args], cwd=repo, check=True,
+                       capture_output=True)
+    sha = git_sha(repo)
     assert len(sha) == 40 and int(sha, 16) >= 0
-    # A bare tmp dir is not a repo: degrade, never raise.
-    assert git_sha(tmp_path) == "unknown"
+    # A plain sibling dir is not a repo: degrade, never raise.
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert git_sha(plain) == "unknown"
 
 
 # -- payload flattening -----------------------------------------------------

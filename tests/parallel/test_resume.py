@@ -1,14 +1,14 @@
 """Journal resume at the study level: kill mid-crawl, resume, compare.
 
-The resume bug this pins: restored sites must replay their journaled
-observations into the dataset observers, or a resumed study silently
-loses every socket the pre-kill crawl observed and each derived table
-under-counts. The tests kill a run partway through (after at least one
-full shard so restoration actually happens), resume it, and compare
-the resumed dataset against an uninterrupted run by its fingerprint —
-the hash of every byte ``save_dataset`` writes: socket records, tag
-counts, chain signatures, HTTP counters, Cloudfront adjacency and page
-counts.
+The resume bug this pins: restored sites must merge their journaled
+dataset folds (labeled where they were crawled; no page observation
+is journaled), or a resumed study silently loses every socket the
+pre-kill crawl observed and each derived table under-counts. The tests
+kill a run partway through (in the accountant's replay, and while a
+later shard is still crawling), resume it, and compare the resumed
+dataset against an uninterrupted run by its fingerprint — the hash of
+every byte ``save_dataset`` writes: socket records, tag counts, chain
+signatures, HTTP counters, Cloudfront adjacency and page counts.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import dataclasses
 
 import pytest
 
-from repro.crawler.crawler import CrawlAccountant
+from repro.crawler.crawler import CrawlAccountant, Crawler
 from repro.crawler.persistence import dataset_fingerprint
 from repro.experiments.runner import run_crawls
 from repro.obs import Obs
+from repro.parallel import DEFAULT_SHARD_SIZE
 from repro.spool import SpoolJournal, SpoolStore
 from tests.conftest import TINY_STUDY_CONFIG
 
@@ -72,12 +73,49 @@ def resumed(tiny_web, tmp_path_factory):
             "summaries": summaries}
 
 
-def test_resumed_run_matches_uninterrupted(tiny_web, resumed):
+@pytest.fixture(scope="module")
+def uninterrupted(tiny_web):
     dataset, summaries = run_crawls(tiny_web, CONFIG)
-    assert ([dataclasses.asdict(s) for s in resumed["summaries"]]
-            == [dataclasses.asdict(s) for s in summaries])
-    assert (dataset_fingerprint(resumed["dataset"])
-            == dataset_fingerprint(dataset))
+    return {"dataset": dataset, "summaries": summaries}
+
+
+def _assert_same_run(run, reference):
+    assert ([dataclasses.asdict(s) for s in run["summaries"]]
+            == [dataclasses.asdict(s) for s in reference["summaries"]])
+    assert (dataset_fingerprint(run["dataset"])
+            == dataset_fingerprint(reference["dataset"]))
+
+
+def test_resumed_run_matches_uninterrupted(resumed, uninterrupted):
+    _assert_same_run(resumed, uninterrupted)
+
+
+def test_kill_while_crawling_keeps_merged_shards(
+    tiny_web, tmp_path, monkeypatch, uninterrupted
+):
+    """Each shard is merged and journaled as soon as it is crawled, so
+    a run killed inside the second shard's crawl has already journaled
+    the whole first shard — and resumes from it to the same result."""
+    real = Crawler.crawl_site
+    crawled = 0
+
+    def dying(self, site, *args, **kwargs):
+        nonlocal crawled
+        if crawled >= KILL_AFTER:
+            raise _Killed(site.domain)
+        crawled += 1
+        return real(self, site, *args, **kwargs)
+
+    monkeypatch.setattr(Crawler, "crawl_site", dying)
+    with pytest.raises(_Killed):
+        run_crawls(tiny_web, CONFIG, checkpoint=_journal(tmp_path))
+    monkeypatch.undo()
+    assert DEFAULT_SHARD_SIZE < KILL_AFTER < 2 * DEFAULT_SHARD_SIZE
+    assert len(_journal(tmp_path)) >= DEFAULT_SHARD_SIZE
+    dataset, summaries = run_crawls(tiny_web, CONFIG,
+                                    checkpoint=_journal(tmp_path))
+    _assert_same_run({"dataset": dataset, "summaries": summaries},
+                     uninterrupted)
 
 
 def test_fully_restored_run_emits_final_progress(tiny_web, resumed):

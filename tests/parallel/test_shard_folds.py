@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 import repro.experiments.runner as runner
+import repro.parallel.executor as executor
 from repro.filters import CompiledFilterEngine
 from tests.conftest import TINY_STUDY_CONFIG
 
@@ -19,22 +20,25 @@ CONFIG = dataclasses.replace(TINY_STUDY_CONFIG, crawls=(0, 1))
 
 
 def test_inline_replay_matches_nothing(tiny_web, monkeypatch):
-    phase = {"now": "shards"}
+    phase = {"now": "replay"}
     calls = {"shards": 0, "replay": 0}
     real_match = CompiledFilterEngine.match
-    real_execute = runner.execute_shards
+    real_run_shard = executor.run_shard
 
     def counting_match(self, *args, **kwargs):
         calls[phase["now"]] += 1
         return real_match(self, *args, **kwargs)
 
-    def execute_then_replay(*args, **kwargs):
-        results = real_execute(*args, **kwargs)
-        phase["now"] = "replay"
-        return results
+    def shard_phase(*args, **kwargs):
+        # The inline stream crawls each shard between two replays.
+        phase["now"] = "shards"
+        try:
+            return real_run_shard(*args, **kwargs)
+        finally:
+            phase["now"] = "replay"
 
     monkeypatch.setattr(CompiledFilterEngine, "match", counting_match)
-    monkeypatch.setattr(runner, "execute_shards", execute_then_replay)
+    monkeypatch.setattr(executor, "run_shard", shard_phase)
     dataset, _ = runner.run_crawls(tiny_web, CONFIG, workers=1)
 
     assert calls["shards"] > 0

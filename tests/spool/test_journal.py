@@ -6,7 +6,7 @@ and reopens it the way a rerun of the same study would.
 
 import pytest
 
-from repro.crawler.persistence import SiteCheckpoint
+from repro.crawler.outcome import SiteOutcome
 from repro.spool import SpoolJournal, SpoolStore, list_segments
 from repro.spool.segment import read_segment
 
@@ -26,8 +26,8 @@ def _records(root, shard: str) -> list[dict]:
 def test_journal_round_trips(tmp_path):
     journal = _open(tmp_path)
     assert len(journal) == 0
-    entry = SiteCheckpoint(crawl=1, domain="pub.com", rank=42,
-                           status="ok", pages=15, sockets=3)
+    entry = SiteOutcome(crawl=1, domain="pub.com", rank=42,
+                        pages_visited=15, sockets_observed=3)
     journal.record(entry)
     reopened = _open(tmp_path)
     assert len(reopened) == 1
@@ -40,27 +40,27 @@ def test_journal_round_trips(tmp_path):
 
 def test_journal_appends_across_opens(tmp_path):
     first = _open(tmp_path)
-    first.record(SiteCheckpoint(crawl=0, domain="a.com", rank=1,
-                                status="ok", pages=2, sockets=0))
+    first.record(SiteOutcome(crawl=0, domain="a.com", rank=1,
+                             pages_visited=2))
     second = _open(tmp_path)
-    second.record(SiteCheckpoint(crawl=0, domain="b.com", rank=2,
-                                 status="quarantined", pages=1, sockets=0))
+    second.record(SiteOutcome(crawl=0, domain="b.com", rank=2,
+                              quarantined=True, pages_visited=1))
     third = _open(tmp_path)
     assert len(third) == 2
-    assert third.get(0, "b.com").status == "quarantined"
+    assert third.get(0, "b.com").quarantined
 
 
 def test_one_crawl_record_per_shard_across_opens(tmp_path):
     first = _open(tmp_path)
-    first.record(SiteCheckpoint(crawl=0, domain="a.com", rank=1,
-                                status="ok", pages=2, sockets=0))
+    first.record(SiteOutcome(crawl=0, domain="a.com", rank=1,
+                             pages_visited=2))
     first.store.seal_active()
     second = _open(tmp_path)
     assert second.crawl_labels == {0: "Apr 02-05, 2017"}
-    second.record(SiteCheckpoint(crawl=0, domain="b.com", rank=2,
-                                 status="ok", pages=2, sockets=0))
-    second.record(SiteCheckpoint(crawl=1, domain="a.com", rank=1,
-                                 status="ok", pages=2, sockets=0))
+    second.record(SiteOutcome(crawl=0, domain="b.com", rank=2,
+                              pages_visited=2))
+    second.record(SiteOutcome(crawl=1, domain="a.com", rank=1,
+                              pages_visited=2))
     second.store.seal_active()
     crawl0 = [r["t"] for r in _records(tmp_path, "crawl00")]
     crawl1 = [r["t"] for r in _records(tmp_path, "crawl01")]
