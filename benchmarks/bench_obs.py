@@ -3,10 +3,11 @@
 Two questions: did caching the subscriber snapshot actually speed up
 ``EventBus.publish`` (the pipeline's hottest call), and what does
 carrying a full obs context cost a crawl (EXPERIMENTS.md reports the
-measured overhead; the budget is <5% on the bench preset).
+measured overhead; the budget is <5% on the bench preset, timed at the
+reference host speed by perfbench's ``SpeedMeter``).
 """
 
-import time
+from conftest import speed_meter
 
 from repro.cdp import EventBus
 from repro.cdp.events import ScriptParsed, WebSocketClosed
@@ -81,22 +82,22 @@ def _run_crawl(web, obs, sites):
 
 def test_instrumentation_overhead(bench_web):
     """Crawl cost of carrying an obs context, measured directly."""
+    meter_class = speed_meter()
     sites = bench_web.seed_list.sites[:100]
     for warmup_obs in (None, Obs()):  # touch every lazy path first
         _run_crawl(bench_web, warmup_obs, sites)
     # Interleave the two variants (best of 5 each) so host drift hits
-    # both equally.
+    # both equally; the ratio uses reference-speed times.
     timings = {"bare": float("inf"), "obs": float("inf")}
     for _ in range(5):
         for label, factory in (("bare", lambda: None), ("obs", Obs)):
             obs = factory()
-            t0 = time.perf_counter()
-            _run_crawl(bench_web, obs, sites)
-            timings[label] = min(timings[label],
-                                 time.perf_counter() - t0)
+            with meter_class() as meter:
+                _run_crawl(bench_web, obs, sites)
+            timings[label] = min(timings[label], meter.scaled_s)
     overhead = timings["obs"] / timings["bare"] - 1.0
     print(f"\ncrawl without obs: {timings['bare']:.3f}s, "
-          f"with obs: {timings['obs']:.3f}s, "
+          f"with obs: {timings['obs']:.3f}s (reference speed), "
           f"overhead: {overhead * 100.0:+.1f}%")
     # EXPERIMENTS.md reports ~<5%; assert a loose ceiling so noisy CI
     # boxes don't flake.

@@ -111,11 +111,12 @@ def _merge_cost(web):
     site_total = len(web.seed_list.sites)
     t1 = time.perf_counter()
     lane_total = LaneStats()
-    accountant = CrawlAccountant(crawl, site_total, dataset=dataset)
+    accountant = CrawlAccountant(crawl, site_total)
     with accountant:
         for result in results:
             for outcome in result.outcomes:
                 accountant.record_site(outcome)
+            dataset.merge(result.fold)
             lane_total.merge(result.lane)
         accountant.finish(lane_total)
     merge_seconds = time.perf_counter() - t1

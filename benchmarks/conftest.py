@@ -15,12 +15,17 @@ longitudinal store ``repro perf check`` regression-gates.
 ``REPRO_BENCH_PRESET=smoke`` shrinks the shared study to CI scale;
 the preset name rides along as the history records' ``context`` so
 smoke-scale numbers never get compared against full bench-scale ones.
+
+:func:`speed_meter` lends the benches perfbench's ``SpeedMeter``, which
+rescales a timed block to a quiet core of the reference host.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +59,25 @@ BENCH_OBS_PATH = BENCH_DIR / "BENCH_OBS.json"
 HISTORY_PATH = Path(
     os.environ.get("REPRO_BENCH_HISTORY", str(BENCH_DIR / "history.jsonl"))
 )
+
+def speed_meter() -> type:
+    """``perfbench/speed.py``'s ``SpeedMeter`` class, loaded on first use.
+
+    The module builds its ~10 MB calibration table when it loads, so
+    call this inside the bench that times with it, not at import. It
+    is registered as ``speed``, the name ``perfbench/run.py`` imports
+    it under, so a process loads it once.
+    """
+    module = sys.modules.get("speed")
+    if module is None:
+        spec = importlib.util.spec_from_file_location(
+            "speed", REPO_ROOT / "perfbench" / "speed.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["speed"] = module
+        spec.loader.exec_module(module)
+    return module.SpeedMeter
+
 
 # Provenance is constant for the session; resolve it once.
 _HARDWARE = hardware_fingerprint()

@@ -5,9 +5,10 @@ Commands:
 * ``study``   — run the four-crawl study and print every artifact
   (``--trace``/``--metrics-out`` export the observability artifacts;
   ``--faults`` injects a named fault profile; ``--spool-dir``
-  journals per-site completion into a durable write-ahead spool, so
-  rerunning with the same directory resumes an interrupted study —
-  crash-safe, quota-bounded via ``--spool-quota``).
+  journals per-shard completion into a durable write-ahead spool, so
+  rerunning the same study with the same directory resumes it —
+  crash-safe, quota-bounded via ``--spool-quota``, and refused with
+  exit 2 when another study wrote the spool).
 * ``analyze`` — re-analyze a dataset saved by ``study --dataset-out``
   in one streaming pass, serving unchanged stages from the
   content-addressed artifact cache (``--no-cache`` bypasses it);
@@ -151,7 +152,7 @@ def _render_degradation(summaries) -> str:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     from repro.spool import SpoolCorruptionError, SpoolQuotaExceeded
-    from repro.spool import SpoolDiskFull
+    from repro.spool import SpoolDiskFull, StaleSpoolError
 
     config = _PRESETS[args.preset]
     if args.faults != config.faults:
@@ -176,6 +177,9 @@ def _cmd_study(args: argparse.Namespace) -> int:
         return 6
     except SpoolCorruptionError as error:
         print(f"spool is corrupt: {error}", file=sys.stderr)
+        return 2
+    except StaleSpoolError as error:
+        print(str(error), file=sys.stderr)
         return 2
     print(report_mod.render_table1(result.table1), "\n")
     print("TABLE 2 — top initiators")
@@ -762,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the full study dataset as JSONL "
                             "(.gz supported) for later `repro analyze`")
     study.add_argument("--spool-dir", default="", dest="spool_dir",
-                       help="journal per-site completion into a durable "
+                       help="journal per-shard completion into a durable "
                             "write-ahead spool at this directory; rerun "
                             "with the same directory to resume an "
                             "interrupted study (crash-safe; drain with "

@@ -14,9 +14,9 @@ Parallel model (PR 4): crawling and bookkeeping are two phases. A
 :class:`~repro.crawler.outcome.SiteOutcome` records — pure data, no
 obs/summary side effects; each page observation goes to the caller's
 ``observe`` callback and is not kept — and a :class:`CrawlAccountant`
-folds outcomes into the run summary, obs spans/counters, the dataset
-(by merging each site's already-labeled fold) and the journal, always
-in canonical site order.
+folds outcomes into the run summary and obs spans/counters, always in
+canonical site order (the study runner merges each shard's
+already-labeled dataset fold and journals the shard beside it).
 Because producing an outcome never touches the obs tick clock, the
 accountant's replay is byte-identical whether the outcome was crawled
 inline one second ago or in a worker process (see
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from repro.browser.browser import Browser
 from repro.cdp.bus import EventBus
@@ -46,10 +46,6 @@ from repro.util.rng import RngStream
 from repro.util.simtime import SimClock, parse_date
 from repro.web.alexa import Site
 from repro.web.server import SyntheticWeb
-
-if TYPE_CHECKING:  # avoids the persistence → dataset → crawler cycle
-    from repro.crawler.dataset import StudyDataset
-    from repro.crawler.persistence import CrawlJournal
 
 Observer = Callable[[PageObservation], None]
 
@@ -161,19 +157,19 @@ class CrawlLane:
 
 
 class CrawlAccountant:
-    """Folds site outcomes into summary, obs, dataset, and journal.
+    """Folds site outcomes into the run summary and the obs trace.
 
-    All crawl bookkeeping lives here so the sequential path and the
+    All per-site bookkeeping lives here so the sequential path and the
     parallel merge are literally the same code: ``record_site``
     replays a freshly crawled site's site/page spans and
-    ``crawl.quarantine`` event, folds it in through ``restore_site``,
-    journals it and emits ``crawl.progress``; ``restore_site`` alone
-    is how a journaled site comes back (its counts added to the run
-    summary, its dataset fold merged), so a resumed study's dataset
-    equals an uninterrupted one; ``finish`` emits the unconditional
-    end-of-crawl progress event and harvests lane telemetry into the
-    metrics registry. Nothing here matches a filter: the shard that
-    crawled a site already labeled its resources.
+    ``crawl.quarantine`` event, counts it through ``restore_site`` and
+    emits ``crawl.progress``; ``restore_site`` alone is how a
+    journaled site comes back (its counts added to the run summary),
+    so a resumed study's summary equals an uninterrupted one;
+    ``finish`` emits the unconditional end-of-crawl progress event and
+    harvests lane telemetry into the metrics registry. The dataset
+    and the journal are the study runner's: it merges and journals
+    each shard whole.
 
     Use as a context manager — the crawl span opens on entry and
     closes on exit, and ``finish`` must be called inside the block.
@@ -183,15 +179,11 @@ class CrawlAccountant:
         self,
         config: CrawlConfig,
         site_total: int,
-        dataset: "StudyDataset | None" = None,
         obs: Obs | None = None,
-        checkpoint: "CrawlJournal | None" = None,
     ) -> None:
         self.config = config
         self.site_total = site_total
-        self.dataset = dataset
         self.obs = obs
-        self.checkpoint = checkpoint
         self.summary = CrawlRunSummary(config=config)
         self.tally = ErrorTally()
         self._span_cm = None
@@ -211,7 +203,7 @@ class CrawlAccountant:
         return self._span_cm.__exit__(exc_type, exc, tb)
 
     def record_site(self, outcome: SiteOutcome) -> None:
-        """Fold one freshly crawled site in (canonical-order replay)."""
+        """Count one freshly crawled site in (canonical-order replay)."""
         obs = self.obs
         if obs is not None:
             with obs.span("site", domain=outcome.domain, rank=outcome.rank):
@@ -228,8 +220,6 @@ class CrawlAccountant:
                     consecutive_failures=outcome.consecutive_failures,
                 )
         self.restore_site(outcome)
-        if self.checkpoint is not None:
-            self.checkpoint.record(outcome)
         sites_done = self.summary.sites_visited
         if obs is not None and (
             sites_done % PROGRESS_EVERY == 0 and sites_done != self.site_total
@@ -237,13 +227,13 @@ class CrawlAccountant:
             self._progress_event()
 
     def restore_site(self, outcome: SiteOutcome) -> None:
-        """Add one site's counts to the summary and merge its fold.
+        """Add one site's counts to the summary.
 
         On its own this is how a journaled site comes back: it reaches
-        the dataset (so every table derived from it matches an
-        uninterrupted run) but opens no spans and touches no counters,
-        because the metrics describe work this process actually did
-        and the trace shows the resume for what it is.
+        the summary (its shard's fold reaches the dataset beside it)
+        but opens no spans and touches no counters, because the
+        metrics describe work this process actually did and the trace
+        shows the resume for what it is.
         """
         summary = self.summary
         summary.sites_visited += 1
@@ -257,8 +247,6 @@ class CrawlAccountant:
         if outcome.quarantined:
             summary.sites_quarantined += 1
         self.tally.merge(outcome.errors)
-        if self.dataset is not None and outcome.fold is not None:
-            self.dataset.merge(outcome.fold)
 
     def finish(self, lane: LaneStats) -> None:
         """End-of-crawl bookkeeping; call once, inside the span."""

@@ -1,35 +1,30 @@
 """Per-site crawl outcomes — the one record of a finished site.
 
 A :class:`SiteOutcome` is everything one site visit produced: its
-counts, its pages folded into a dataset partial
-(:meth:`StudyDataset.spawn`) by the shard that crawled it, and the
-per-page socket tallies the trace replay reads. The crawler produces
-outcomes (in a worker process or inline) and hands each full page
-observation to its ``observe`` callback, never keeping it; the
-:class:`~repro.crawler.crawler.CrawlAccountant` folds outcomes into the
-run summary, the obs trace, the dataset (a merge of the partial) and
-the journal in canonical site-rank order. The journal stores the same
-record (page tallies aside), so a resumed site restores through the
-same code a crawled one is counted by. Keeping production and
-accounting separate is what makes ``--workers N`` byte-identical to
-``--workers 1``: no matter where a site was crawled, its bookkeeping
-replays in the same order on the same process.
+counts and the per-page socket tallies the trace replay reads. The
+crawler produces outcomes (in a worker process or inline) and hands
+each full page observation to its ``observe`` callback, never keeping
+it: the shard that crawled the site folds its pages, with the rest of
+the shard's, into one dataset partial (:meth:`StudyDataset.spawn`).
+The :class:`~repro.crawler.crawler.CrawlAccountant` folds outcomes
+into the run summary and the obs trace in canonical site-rank order.
+The journal stores the same record (page tallies aside) as one row of
+its shard's record, so a resumed site restores through the same code a
+crawled one is counted by. Keeping production and accounting separate
+is what makes ``--workers N`` byte-identical to ``--workers 1``: no
+matter where a site was crawled, its bookkeeping replays in the same
+order on the same process.
 
 Everything here is plain picklable data (strings, ints, dataclasses of
-the same; a partial pickles without its filter engine) so outcomes can
-cross a ``multiprocessing`` pipe.
+the same) so outcomes can cross a ``multiprocessing`` pipe.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.crawler.observation import PageObservation
-
-if TYPE_CHECKING:  # avoids the dataset → crawler → outcome cycle
-    from repro.crawler.dataset import StudyDataset
 
 
 @dataclass
@@ -71,10 +66,6 @@ class SiteOutcome:
             because publishing only happens inside visits).
         quarantined: The site was abandoned after consecutive failures.
         errors: Error-taxonomy counts for this site (sorted keys).
-        fold: The site's pages folded into a dataset partial, set by
-            the shard that crawled it: what the parent, a resumed
-            study and the spool importer merge instead of matching the
-            pages again.
         consecutive_failures: Failure streak at abandonment time.
         pages: Per-page tallies in visit order (quarantine truncates);
             empty for a journaled site, which replays no spans.
@@ -91,7 +82,6 @@ class SiteOutcome:
     events_published: int = 0
     quarantined: bool = False
     errors: dict[str, int] = field(default_factory=dict)
-    fold: "StudyDataset | None" = None
     consecutive_failures: int = 0
     pages: list[PageOutcome] = field(default_factory=list)
 

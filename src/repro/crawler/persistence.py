@@ -11,9 +11,10 @@ saved file share one content address for the stage cache, and
 :class:`SegmentSlice` content-addresses a record range of one.
 
 This module also holds the crawl journal's entry codec (a finished
-site's :class:`~repro.crawler.outcome.SiteOutcome`, whose fold is
+shard, :class:`JournaledShard`: one row per site's
+:class:`~repro.crawler.outcome.SiteOutcome` and the shard's one fold,
 written with the dataset file's aggregate and socket-record encoders)
-and the interface the crawler resumes from (:class:`CrawlJournal`);
+and the interface a study resumes from (:class:`CrawlJournal`);
 :class:`repro.spool.SpoolJournal` is the journal that implements it.
 """
 
@@ -25,7 +26,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Protocol
 
 from repro.content.ads import AdUnit
 from repro.content.items import ReceivedClass, SentItem
@@ -605,7 +606,7 @@ def fold_from_json(payload: dict) -> StudyDataset:
 
 
 def entry_to_json(entry: SiteOutcome) -> dict:
-    """Encode a finished site for the journal (its page tallies stay out)."""
+    """Encode a finished site's row (its page tallies stay out)."""
     return {
         "crawl": entry.crawl,
         "domain": entry.domain,
@@ -618,7 +619,6 @@ def entry_to_json(entry: SiteOutcome) -> dict:
         "sockets_partial": entry.sockets_partial,
         "events_published": entry.events_published,
         "errors": entry.errors,
-        "fold": fold_to_json(entry.fold) if entry.fold is not None else None,
     }
 
 
@@ -635,40 +635,76 @@ def entry_from_json(payload: dict) -> SiteOutcome:
         sockets_partial=payload["sockets_partial"],
         events_published=payload["events_published"],
         errors=payload["errors"],
-        fold=(
-            fold_from_json(payload["fold"])
-            if payload["fold"] is not None else None
-        ),
     )
 
 
-class CrawlJournal(Protocol):
-    """A resumable record of per-site crawl completion.
+@dataclass
+class JournaledShard:
+    """One finished (crawl, shard) as the journal keeps it.
 
-    The crawler skips journaled sites (restoring their counts into the
-    run summary and merging their journaled folds into the dataset)
-    and records one entry per newly finished site.
-    :class:`repro.spool.SpoolJournal` is the implementation; the
-    crawler only depends on this interface, never on the spool.
+    Attributes:
+        crawl: Crawl index.
+        shard: Shard index within the crawl's seed-list plan.
+        sites: One outcome per site, in rank order, without page
+            tallies (a journaled site replays no spans).
+        fold: Every page of the shard folded into one dataset partial,
+            labeled by the shard that crawled it.
     """
 
-    def __len__(self) -> int: ...
+    crawl: int
+    shard: int
+    sites: list[SiteOutcome]
+    fold: StudyDataset
 
-    def get(self, crawl: int, domain: str) -> SiteOutcome | None:
-        """The entry an earlier run journaled for a site, or ``None``.
+    def to_json(self) -> dict:
+        return {
+            "crawl": self.crawl,
+            "shard": self.shard,
+            "sites": [entry_to_json(site) for site in self.sites],
+            "fold": fold_to_json(self.fold),
+        }
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "JournaledShard":
+        return cls(
+            crawl=payload["crawl"],
+            shard=payload["shard"],
+            sites=[entry_from_json(row) for row in payload["sites"]],
+            fold=fold_from_json(payload["fold"]),
+        )
+
+
+class CrawlJournal(Protocol):
+    """A resumable record of per-shard crawl completion.
+
+    The unit of resume is the shard, because a shard's lane state (its
+    fault stream, its sim clock) cannot be rebuilt halfway: a study
+    restores each journaled shard (its sites' counts into the run
+    summary, its fold into the dataset), re-crawls every other shard
+    whole, and records one entry per newly finished shard.
+    :class:`repro.spool.SpoolJournal` is the implementation; the
+    study runner only depends on this interface, never on the spool.
+    """
+
+    def __len__(self) -> int:
+        """Sites journaled, over every shard."""
+
+    def bind(self, study: Mapping[str, object]) -> None:
+        """Tie the journal to the study about to resume from it.
+
+        Raises ``ValueError`` when an earlier run journaled under a
+        different ``study`` stamp: its shards are not this study's.
+        """
+
+    def get(self, crawl: int, shard: int) -> JournaledShard | None:
+        """The entry an earlier run journaled for a shard, or ``None``.
 
         Entries recorded through this journal are not held in memory:
         they exist for the next run to resume from.
         """
 
-    def covers(self, crawl: int, domains: Iterable[str]) -> bool:
-        """Whether every one of ``domains`` is journaled for ``crawl``.
+    def covers(self, crawl: int, shard: int) -> bool:
+        """Whether the shard is journaled for ``crawl``."""
 
-        The parallel executor's unit of resume is the shard: a shard
-        is only restored when all of its sites are journaled (its
-        lane state is otherwise unreconstructable), and a partially
-        journaled shard is re-crawled whole.
-        """
-
-    def record(self, entry: SiteOutcome) -> None:
-        """Durably append one finished site."""
+    def record(self, entry: JournaledShard) -> None:
+        """Durably append one finished shard."""

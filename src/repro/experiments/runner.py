@@ -9,6 +9,7 @@ compute every table and figure.
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -34,7 +35,8 @@ from repro.crawler.crawler import (
 )
 from repro.crawler.dataset import StudyDataset
 from repro.crawler.outcome import LaneStats
-from repro.crawler.persistence import CrawlJournal
+from repro.crawler.persistence import CrawlJournal, JournaledShard
+from repro.filters import CompiledFilterEngine
 from repro.labeling.aa_labeler import AaLabeler
 from repro.labeling.resolver import DomainResolver
 from repro.obs import Obs, ObsSummary
@@ -156,6 +158,32 @@ def crawl_configs(web: SyntheticWeb, config: StudyConfig) -> list[CrawlConfig]:
     return configs
 
 
+def study_stamp(
+    config: StudyConfig, engine: CompiledFilterEngine
+) -> dict[str, object]:
+    """The settings a journal must share with a study to resume it.
+
+    Everything that changes what a crawled shard holds: the seed, both
+    scales, the page budget, the fault profile, and a SHA-256 over the
+    filter lists' raw rules (the engine labels every resource a shard
+    folds, and real lists change between crawls).
+    """
+    rules = hashlib.sha256()
+    for filter_list in engine.lists:
+        rules.update(f"list={filter_list.name}\n".encode())
+        for rule in filter_list.rules:
+            rules.update(rule.raw.encode())
+            rules.update(b"\n")
+    return {
+        "seed": config.seed,
+        "scale": config.scale,
+        "sample_scale": config.resolved_sample_scale,
+        "pages_per_site": config.pages_per_site,
+        "faults": config.faults,
+        "filter_lists": rules.hexdigest()[:16],
+    }
+
+
 def run_crawls(
     web: SyntheticWeb,
     config: StudyConfig,
@@ -166,18 +194,22 @@ def run_crawls(
     """Run the configured crawls, returning the accumulated dataset.
 
     Every run shards the seed list (:mod:`repro.parallel`); each shard
-    labels its own resources into per-site dataset folds, and the
-    folds merge in canonical site-rank order, each shard as soon as it
-    is done, so a ``checkpoint`` journal grows while later shards
-    still crawl. ``workers`` only chooses where shards execute (inline
-    for 1, a multiprocessing pool otherwise), so artifacts are
-    byte-identical across worker counts. The ``faults`` profile on
-    ``config`` gives each (crawl, shard) its own seeded fault lane; a
-    ``checkpoint`` journal lets an interrupted study resume, restoring
-    fully journaled shards (their folds included) and re-crawling
-    partial ones whole.
+    labels its own resources into one dataset fold, and the folds
+    merge in canonical shard order, each as soon as its shard is done,
+    so a ``checkpoint`` journal grows by one record per shard while
+    later shards still crawl. ``workers`` only chooses where shards
+    execute (inline for 1, a multiprocessing pool otherwise), so
+    artifacts are byte-identical across worker counts. The ``faults``
+    profile on ``config`` gives each (crawl, shard) its own seeded
+    fault lane; a ``checkpoint`` journal lets an interrupted study
+    resume, restoring journaled shards (their folds included) and
+    re-crawling the rest whole. It must have been written by the same
+    study (:func:`study_stamp`): ``bind`` raises before anything is
+    crawled when it was not.
     """
     engine = build_filter_engine(web.registry)
+    if checkpoint is not None:
+        checkpoint.bind(study_stamp(config, engine))
     dataset = StudyDataset(engine=engine)
     summaries: list[CrawlRunSummary] = []
     spec = WebSpec(sample_scale=config.resolved_sample_scale,
@@ -187,10 +219,10 @@ def run_crawls(
     configs = crawl_configs(web, config)
 
     def journaled(crawl_config: CrawlConfig, shard: Shard) -> bool:
-        # Stable while the loop below runs: it journals a shard's
-        # sites only after asking about that shard.
+        # Stable while the loop below runs: it journals a shard only
+        # after asking about it.
         return checkpoint is not None and checkpoint.covers(
-            crawl_config.index, (site.domain for site in shard.sites)
+            crawl_config.index, shard.index
         )
 
     tasks = [
@@ -206,21 +238,25 @@ def run_crawls(
         for crawl_config in configs:
             stats_before = engine.stats.snapshot()
             lane_total = LaneStats()
-            accountant = CrawlAccountant(
-                crawl_config, site_total, dataset=dataset,
-                obs=obs, checkpoint=checkpoint,
-            )
+            accountant = CrawlAccountant(crawl_config, site_total, obs=obs)
             with accountant:
                 for shard in shards:
                     if journaled(crawl_config, shard):
-                        for site in shard.sites:
-                            accountant.restore_site(
-                                checkpoint.get(crawl_config.index, site.domain)
-                            )
+                        entry = checkpoint.get(crawl_config.index,
+                                               shard.index)
+                        for outcome in entry.sites:
+                            accountant.restore_site(outcome)
+                        dataset.merge(entry.fold)
                         continue
                     result = next(results)
                     for outcome in result.outcomes:
                         accountant.record_site(outcome)
+                    dataset.merge(result.fold)
+                    if checkpoint is not None:
+                        checkpoint.record(JournaledShard(
+                            crawl_config.index, shard.index,
+                            result.outcomes, result.fold,
+                        ))
                     lane_total.merge(result.lane)
                 accountant.finish(lane_total)
             dataset.record_crawl(accountant.summary)
@@ -303,11 +339,13 @@ def run_study(
 
     An :class:`~repro.obs.Obs` context is created when none is passed,
     so every study carries its audit trail in ``result.obs``. With a
-    ``spool_dir``, per-site completion is journaled into the durable
-    write-ahead spool (:mod:`repro.spool`) and a rerun with the same
-    directory resumes from it — crash-recovered on open, quota-bounded
-    by ``spool_quota`` bytes (0 = unlimited), and importable into a
-    dataset file with ``repro spool import``. ``workers`` fans the
+    ``spool_dir``, per-shard completion is journaled into the durable
+    write-ahead spool (:mod:`repro.spool`) and a rerun of the same
+    study with the same directory resumes from it — crash-recovered on
+    open, refused (:class:`~repro.spool.StaleSpoolError`) when another
+    study wrote it, quota-bounded by ``spool_quota`` bytes (0 =
+    unlimited), and importable into a dataset file with ``repro spool
+    import``. ``workers`` fans the
     crawl shards out over a process pool without changing a byte of
     any artifact.
     """

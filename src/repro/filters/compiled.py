@@ -185,33 +185,6 @@ def _anchor_positions(lowered_url: str, auth: tuple[int, int]) -> Iterator[int]:
         dot = lowered_url.find(".", dot + 1, end)
 
 
-def host_anchor_matches(
-    lowered_url: str,
-    auth: tuple[int, int] | None,
-    span: str,
-    needs_separator: bool,
-) -> bool:
-    """Whether ``||span`` matches, by string scan instead of regex.
-
-    Replicates the anchor regex exactly: the span must start at an
-    anchor position, and (for ``||span^`` rules) be followed by a
-    separator-class char or the URL end.
-    """
-    if auth is None:
-        return False
-    for position in _anchor_positions(lowered_url, auth):
-        if not lowered_url.startswith(span, position):
-            continue
-        if not needs_separator:
-            return True
-        boundary = position + len(span)
-        if boundary >= len(lowered_url):
-            return True
-        if lowered_url[boundary] not in _NOT_SEPARATOR:
-            return True
-    return False
-
-
 _TYPE_BITS = tuple(RESOURCE_BIT.values())
 
 # MatchResult is frozen; every miss can share one instance.

@@ -8,8 +8,9 @@ depend only on the seed list — never on the worker count. Each
 (crawl, shard) pair is crawled on its own lane (browser + event bus +
 fault-injector event stream), inline or on a ``multiprocessing``
 worker pool (:func:`execute_shards`), and the results stream back in
-task order, each folded into the study by the crawl accountant, in
-canonical site-rank order, as soon as it is done.
+task order, each merged into the study (its sites counted by the crawl
+accountant in canonical site-rank order, its one dataset fold merged,
+the shard journaled as one record) as soon as it is done.
 
 Because outcome production never touches the obs tick clock, replaying
 outcomes parent-side reproduces the exact span/event/counter stream a

@@ -1,12 +1,12 @@
 """The shard worker: crawl one (crawl, shard) unit, return pure data.
 
 Workers never see the obs context, the study's dataset, or the
-journal — they produce :class:`~repro.crawler.outcome.SiteOutcome`
-records, each carrying its site's pages folded into a dataset partial
-through the shard's filter engine as the crawler observes them (no
-page observation outlives its fold), and lane telemetry, all plain
-picklable data; the parent merges them in canonical order. The
-synthetic web and the engine are
+journal — they produce one :class:`~repro.crawler.outcome.SiteOutcome`
+per site, one dataset partial holding every page of the shard folded
+through the shard's filter engine as the crawler observes it (no page
+observation outlives its fold), and lane telemetry, all plain
+picklable data; the parent merges them in canonical order and
+journals the shard as one record. The synthetic web and the engine are
 heavy to pickle, so they ride into workers by fork inheritance
 (:func:`prime_worker_web` sets a module global the child inherits
 copy-on-write); on start methods without inheritance each worker
@@ -15,7 +15,7 @@ rebuilds both from the :class:`WebSpec`, deterministic by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crawler.crawler import CrawlConfig, Crawler
 from repro.crawler.dataset import StudyDataset
@@ -68,10 +68,18 @@ class ShardTask:
 
 @dataclass
 class ShardResult:
-    """What one shard produced, ready to merge parent-side."""
+    """What one shard produced, ready to merge parent-side.
 
-    outcomes: list[SiteOutcome] = field(default_factory=list)
-    lane: LaneStats = field(default_factory=LaneStats)
+    Attributes:
+        outcomes: One outcome per site, in rank order.
+        fold: Every visited page of the shard folded into one
+            :meth:`StudyDataset.spawn` partial.
+        lane: The shard lane's telemetry.
+    """
+
+    outcomes: list[SiteOutcome]
+    fold: StudyDataset
+    lane: LaneStats
 
 
 def shard_injector(task: ShardTask) -> FaultInjector | None:
@@ -94,19 +102,16 @@ def run_shard(
 ) -> ShardResult:
     """Crawl one shard on a fresh lane; no side effects beyond it.
 
-    Each site's pages fold through ``engine`` into a fresh partial as
+    The shard's pages fold through ``engine`` into one fresh partial as
     the crawler observes them.
     """
     crawler = Crawler(web, task.crawl, faults=shard_injector(task))
     lane = crawler.make_lane()
-    dataset = StudyDataset(engine=engine)
-    outcomes: list[SiteOutcome] = []
-    for site in task.sites:
-        fold = dataset.spawn()
-        outcome = crawler.crawl_site(site, lane, fold.observe)
-        outcome.fold = fold
-        outcomes.append(outcome)
-    return ShardResult(outcomes=outcomes, lane=lane.stats(crawler.faults))
+    fold = StudyDataset(engine=engine).spawn()
+    outcomes = [crawler.crawl_site(site, lane, fold.observe)
+                for site in task.sites]
+    return ShardResult(outcomes=outcomes, fold=fold,
+                       lane=lane.stats(crawler.faults))
 
 
 # -- worker-process plumbing ----------------------------------------------

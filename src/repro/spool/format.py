@@ -31,9 +31,11 @@ from dataclasses import dataclass
 from typing import Iterator
 
 SPOOL_FORMAT = "repro.spool"
-#: Version 2: a site entry journals the site's dataset fold, not its
-#: page observations; version-1 segments are refused at recovery.
-SPOOL_VERSION = 2
+#: Version 3: one record per finished shard (a row per site and the
+#: shard's one dataset fold), and crawl records stamped with their
+#: study; segments of versions 1 (page observations per site) and 2
+#: (a fold per site) are refused at recovery.
+SPOOL_VERSION = 3
 
 _PREFIX = struct.Struct(">II")
 PREFIX_BYTES = _PREFIX.size

@@ -1,18 +1,20 @@
 """Draining the spool into the v2 dataset file, idempotently.
 
-The importer merges the per-site dataset folds journaled in sealed
-spool segments — appended by the accountant in canonical site order,
-each already labeled by the shard that crawled it — into a
+The importer merges the per-shard dataset folds journaled in sealed
+spool segments — appended by the study runner in canonical shard
+order, each already labeled by the shard that crawled it — into a
 :class:`~repro.crawler.dataset.StudyDataset` and writes the v2 dataset
-file, extending any previous import. It matches no filter. Three
-properties carry the crash-safety story:
+file, extending any previous import. It matches no filter and merges
+one fold per ``shard`` record. Three properties carry the crash-safety
+story:
 
-**Canonical order.** Segments replay in ``(shard, seq)`` order, which
-is exactly the order the accountant journaled sites in; first-wins
-deduplication by ``(crawl, domain)`` then erases the re-journaled
-sites a crash/resume cycle produces while keeping every survivor at
-its canonical position. The imported dataset is therefore
-byte-identical to the one an uninterrupted run would have saved.
+**Canonical order.** Segments replay in ``(lane, seq)`` order, which
+is exactly the order the study runner journaled shards in, so the
+imported dataset is byte-identical to the one an uninterrupted run
+would have saved. A shard whose sites the dataset already lists is
+skipped whole: that is how a re-import after a crash between dataset
+rename and journal write (or of shards re-crawled after their
+segments were evicted) heals instead of double-counting.
 
 **Two-phase commit.** Each import writes the new dataset to a temp
 file, rewrites the import journal (now naming the new file's
@@ -51,9 +53,9 @@ from typing import TYPE_CHECKING, Iterator
 from repro.crawler.dataset import StudyDataset
 from repro.crawler.persistence import (
     DatasetReader,
+    JournaledShard,
     SegmentSlice,
     dataset_preamble,
-    entry_from_json,
     file_fingerprint,
     socket_record_to_json,
 )
@@ -189,12 +191,14 @@ def _replay_segment(
     dataset: StudyDataset,
     known_sites: set[tuple[int, str]],
 ) -> tuple[int, int]:
-    """Merge one segment's journaled site folds into the dataset.
+    """Merge one segment's journaled shard folds into the dataset.
 
-    Returns ``(new_sites, duplicate_sites)``. Mirrors what the
-    accountant feeds the dataset for each site — the site's fold, then
-    the ``(domain, rank)`` slot in the crawl's site list — so replay
-    order in, canonical dataset out.
+    Returns ``(new_sites, duplicate_sites)``. Mirrors what the study
+    runner feeds the dataset for each shard — the shard's fold, then
+    its sites' ``(domain, rank)`` slots in the crawl's site list — so
+    replay order in, canonical dataset out. A shard whose sites
+    ``known_sites`` already holds is skipped; one that overlaps them
+    only in part cannot come from one study and raises.
     """
     new_sites = 0
     dupes = 0
@@ -206,21 +210,27 @@ def _replay_segment(
                 dataset.crawl_labels[index] = payload["label"]
                 dataset.crawl_sites.setdefault(index, [])
             continue
-        if kind != "site":
+        if kind != "shard":
             raise ValueError(
                 f"{info.path}: unknown spool record type {kind!r}"
             )
-        entry = entry_from_json(payload["entry"])
-        key = (entry.crawl, entry.domain)
-        if key in known_sites:
-            dupes += 1
+        entry = JournaledShard.from_json(payload)
+        keys = {(entry.crawl, site.domain) for site in entry.sites}
+        known = len(keys & known_sites)
+        if known == len(keys):
+            dupes += known
             continue
-        known_sites.add(key)
-        new_sites += 1
-        if entry.fold is not None:
-            dataset.merge(entry.fold)
-        dataset.crawl_sites.setdefault(entry.crawl, []).append(
-            (entry.domain, entry.rank)
+        if known:
+            raise ValueError(
+                f"{info.path}: shard {entry.shard} of crawl "
+                f"{entry.crawl} overlaps the dataset's sites in part; "
+                "the dataset is not this spool's"
+            )
+        known_sites.update(keys)
+        new_sites += len(keys)
+        dataset.merge(entry.fold)
+        dataset.crawl_sites.setdefault(entry.crawl, []).extend(
+            (site.domain, site.rank) for site in entry.sites
         )
     return new_sites, dupes
 
@@ -232,8 +242,8 @@ def import_spool(
 ) -> ImportResult:
     """Drain every unimported sealed segment into the dataset file.
 
-    Opens (and thereby recovers) the spool, merges new segments' folds
-    onto the existing dataset — restored aggregates plus raw record
+    Opens (and thereby recovers) the spool, merges new segments' shard
+    folds onto the existing dataset — restored aggregates plus raw record
     lines, never a re-crawl or a re-match — and commits dataset +
     journal in the two-phase order described in the module docstring.
     ``engine`` only becomes the written dataset's engine: an import

@@ -1,54 +1,71 @@
 """The spool-backed crawl journal: how an interrupted study resumes.
 
 :class:`SpoolJournal` implements
-:class:`repro.crawler.persistence.CrawlJournal` — ``get`` /
-``covers`` / ``record`` / ``__len__`` — so the crawler and the
-parallel executor use it without importing the spool; the wiring
-happens at the composition root
-(:func:`repro.experiments.runner.run_study`).
+:class:`repro.crawler.persistence.CrawlJournal` — ``bind`` / ``get``
+/ ``covers`` / ``record`` / ``__len__`` — so the study runner uses it
+without importing the spool; the wiring happens at the composition
+root (:func:`repro.experiments.runner.run_study`).
 
 Instead of one flat JSONL file, entries go through a
-:class:`~repro.spool.store.SpoolStore`, one shard per crawl lane
-(``crawl00`` …). Because the accountant records each crawl's sites in
-canonical ``(shard, rank)`` order, replaying segments in ``(shard,
-seq)`` order reproduces the canonical per-crawl site order — the
-property the importer leans on to keep a crash-resumed dataset
-byte-identical to an uninterrupted one.
+:class:`~repro.spool.store.SpoolStore`, one spool lane per crawl
+(``crawl00`` …). Because the study runner records each crawl's shards
+in canonical shard order, replaying segments in ``(lane, seq)`` order
+reproduces the canonical per-crawl site order — the property the
+importer leans on to keep a crash-resumed dataset byte-identical to an
+uninterrupted one.
 
 Two record types live in the spool::
 
-    {"t": "crawl", "index": 0, "label": "vanilla"}   # once per crawl
-    {"t": "site",  "entry": {...}}                   # one per site
+    {"t": "crawl", "index": 0, "label": "vanilla", "study": {...}}
+    {"t": "shard", "crawl": 0, "shard": 3, "sites": [...], "fold": {...}}
 
-The ``crawl`` record carries what :meth:`StudyDataset.record_crawl`
-needs; it is written lazily before a crawl's first site so an
-untouched crawl leaves no trace. A ``site`` entry holds the site's
-summary counts and its dataset fold, never raw page observations; the
-journal keeps the entries it read at open, but not the ones it writes.
+The ``crawl`` record, once per crawl, carries what
+:meth:`StudyDataset.record_crawl` needs and the stamp of the study
+that wrote it (:meth:`SpoolJournal.bind`); it is written lazily before
+a crawl's first shard so an untouched crawl leaves no trace. A
+``shard`` record holds one row of summary counts per site and the
+shard's one dataset fold, never raw page observations — exactly what
+a resume restores; the journal keeps the entries it read at open, but
+not the ones it writes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from pathlib import Path
+from typing import TYPE_CHECKING, Mapping
 
-from repro.crawler.outcome import SiteOutcome
-from repro.crawler.persistence import entry_from_json, entry_to_json
+from repro.crawler.persistence import JournaledShard
 from repro.spool.segment import parse_segment_id, read_segment
 
 if TYPE_CHECKING:
     from repro.spool.store import SpoolStore
 
 
+class StaleSpoolError(ValueError):
+    """The spool was written by a study with different settings.
+
+    Attributes:
+        differences: Field name → (the spool's value, this study's).
+    """
+
+    def __init__(
+        self, root: Path, differences: dict[str, tuple[object, object]]
+    ) -> None:
+        named = "; ".join(
+            f"{name}: spool {journaled!r}, study {wanted!r}"
+            for name, (journaled, wanted) in differences.items()
+        )
+        super().__init__(
+            f"spool {root} was written by another study ({named}); "
+            "resume it with the same settings or use a fresh spool "
+            "directory"
+        )
+        self.differences = differences
+
+
 def shard_for_crawl(index: int) -> str:
     """The spool shard name for a crawl lane."""
     return f"crawl{index:02d}"
-
-
-def crawl_for_shard(shard: str) -> int:
-    """Inverse of :func:`shard_for_crawl`; raises on foreign shards."""
-    if not shard.startswith("crawl"):
-        raise ValueError(f"not a crawl shard: {shard!r}")
-    return int(shard[len("crawl"):])
 
 
 class SpoolJournal:
@@ -59,8 +76,11 @@ class SpoolJournal:
     ) -> None:
         self.store = store
         self._labels = dict(labels)
-        self._restored: dict[tuple[int, str], SiteOutcome] = {}
-        self._journaled: set[tuple[int, str]] = set()
+        self._restored: dict[tuple[int, int], JournaledShard] = {}
+        self._journaled: set[tuple[int, int]] = set()
+        self._sites = 0
+        self._stamps: list[dict] = []
+        self._study: dict | None = None
         self._crawls_started: set[int] = set()
         self.crawl_labels: dict[int, str] = {}
         for info in store.segments():
@@ -75,35 +95,55 @@ class SpoolJournal:
         kind = payload.get("t")
         if kind == "crawl":
             self.crawl_labels[payload["index"]] = payload["label"]
-        elif kind == "site":
-            entry = entry_from_json(payload["entry"])
-            self._restored[(entry.crawl, entry.domain)] = entry
-            self._journaled.add((entry.crawl, entry.domain))
+            if "study" in payload:
+                self._stamps.append(payload["study"])
+        elif kind == "shard":
+            entry = JournaledShard.from_json(payload)
+            self._restored[(entry.crawl, entry.shard)] = entry
+            self._journaled.add((entry.crawl, entry.shard))
+            self._sites += len(entry.sites)
         else:
             raise ValueError(f"unknown spool record type {kind!r}")
 
     def __len__(self) -> int:
-        return len(self._journaled)
+        return self._sites
 
-    def get(self, crawl: int, domain: str) -> SiteOutcome | None:
-        """The entry read at open for a site, or ``None``."""
-        return self._restored.get((crawl, domain))
+    def bind(self, study: Mapping[str, object]) -> None:
+        """Refuse a spool another study wrote; stamp what this one writes.
 
-    def covers(self, crawl: int, domains: Iterable[str]) -> bool:
-        """Whether every one of ``domains`` is journaled for ``crawl``."""
-        return all(
-            (crawl, domain) in self._journaled for domain in domains
-        )
+        Raises :class:`StaleSpoolError` naming every field in which a
+        ``crawl`` record read at open disagrees with ``study``. Crawl
+        records written from now on carry ``study``.
+        """
+        for stamp in self._stamps:
+            differences = {
+                name: (stamp.get(name), study.get(name))
+                for name in sorted(set(stamp) | set(study))
+                if stamp.get(name) != study.get(name)
+            }
+            if differences:
+                raise StaleSpoolError(self.store.root, differences)
+        self._study = dict(study)
 
-    def record(self, entry: SiteOutcome) -> None:
-        """Durably append one finished site to the crawl's shard."""
-        shard = shard_for_crawl(entry.crawl)
+    def get(self, crawl: int, shard: int) -> JournaledShard | None:
+        """The entry read at open for a shard, or ``None``."""
+        return self._restored.get((crawl, shard))
+
+    def covers(self, crawl: int, shard: int) -> bool:
+        """Whether the shard is journaled for ``crawl``."""
+        return (crawl, shard) in self._journaled
+
+    def record(self, entry: JournaledShard) -> None:
+        """Durably append one finished shard to its crawl's lane."""
+        lane = shard_for_crawl(entry.crawl)
         if entry.crawl not in self._crawls_started:
             self._crawls_started.add(entry.crawl)
             label = self._labels.get(entry.crawl, f"crawl-{entry.crawl}")
             self.crawl_labels[entry.crawl] = label
-            self.store.append(
-                shard, {"t": "crawl", "index": entry.crawl, "label": label}
-            )
-        self.store.append(shard, {"t": "site", "entry": entry_to_json(entry)})
-        self._journaled.add((entry.crawl, entry.domain))
+            header = {"t": "crawl", "index": entry.crawl, "label": label}
+            if self._study is not None:
+                header["study"] = self._study
+            self.store.append(lane, header)
+        self.store.append(lane, {"t": "shard", **entry.to_json()})
+        self._journaled.add((entry.crawl, entry.shard))
+        self._sites += len(entry.sites)

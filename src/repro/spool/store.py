@@ -180,6 +180,3 @@ class SpoolStore:
 
     def segments(self) -> list[SegmentInfo]:
         return list_segments(self.root)
-
-    def total_bytes(self) -> int:
-        return self._total

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from repro.extension.adblocker import AdBlockerExtension
 from repro.extension.webrequest import (
     WEBREQUEST_BUG_FIX_VERSION,
-    RequestFilter,
     WebRequestApi,
 )
 from repro.filters import CompiledFilterEngine
@@ -122,15 +121,6 @@ def classify_listener(
         ))
         return ListenerVerdict.PARTIAL, report
     return ListenerVerdict.SAFE, report
-
-
-def classify_request_filter(
-    request_filter: RequestFilter, chrome_major: int
-) -> tuple[ListenerVerdict, LintReport]:
-    """Classify an assembled :class:`RequestFilter`."""
-    return classify_listener(
-        request_filter.url_patterns, chrome_major, request_filter.resource_types
-    )
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Journal resume at the study level: kill mid-crawl, resume, compare.
 
-The resume bug this pins: restored sites must merge their journaled
+The resume bug this pins: restored shards must merge their journaled
 dataset folds (labeled where they were crawled; no page observation
 is journaled), or a resumed study silently loses every socket the
 pre-kill crawl observed and each derived table under-counts. The tests
@@ -64,9 +64,7 @@ def resumed(tiny_web, tmp_path_factory):
                        checkpoint=_journal(journal))
     finally:
         CrawlAccountant.record_site = real
-    assert KILL_AFTER <= len(_journal(journal)) < len(
-        tiny_web.seed_list.sites
-    )
+    assert len(_journal(journal)) == DEFAULT_SHARD_SIZE
     dataset, summaries = run_crawls(tiny_web, CONFIG,
                                     checkpoint=_journal(journal))
     return {"journal": journal, "dataset": dataset,

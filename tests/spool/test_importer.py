@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.crawler.dataset import StudyDataset
 from repro.crawler.persistence import (
     dataset_fingerprint,
     file_fingerprint,
     open_dataset,
+    save_dataset,
 )
 from repro.spool.importer import ImportState, import_spool
 
@@ -85,3 +87,20 @@ class TestImport:
         state = ImportState.load(spool, dataset)
         assert state.dropped > 0
         assert state.entries == []
+
+    def test_partial_shard_overlap_is_refused(
+        self, spooled, spool_copy, tmp_path
+    ):
+        # A dataset listing only part of a journaled shard's sites was
+        # not written from this spool: merging the shard would count
+        # those sites twice, skipping it would lose the rest.
+        _root, result = spooled
+        foreign = StudyDataset(engine=None)
+        foreign.crawl_sites[0] = result.dataset.crawl_sites[0][:10]
+        foreign.crawl_labels[0] = result.dataset.crawl_labels[0]
+        dataset = tmp_path / "dataset.jsonl"
+        save_dataset(dataset, foreign)
+        before = dataset.read_bytes()
+        with pytest.raises(ValueError, match="overlaps the dataset's sites"):
+            import_spool(spool_copy, dataset)
+        assert dataset.read_bytes() == before

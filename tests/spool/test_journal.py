@@ -6,13 +6,25 @@ and reopens it the way a rerun of the same study would.
 
 import pytest
 
+from repro.crawler.dataset import StudyDataset
 from repro.crawler.outcome import SiteOutcome
-from repro.spool import SpoolJournal, SpoolStore, list_segments
+from repro.crawler.persistence import JournaledShard
+from repro.spool import (
+    SpoolJournal,
+    SpoolStore,
+    StaleSpoolError,
+    list_segments,
+)
 from repro.spool.segment import read_segment
 
 
 def _open(root) -> SpoolJournal:
     return SpoolJournal(SpoolStore.open(root), {0: "Apr 02-05, 2017"})
+
+
+def _shard(shard: int, *sites: SiteOutcome) -> JournaledShard:
+    return JournaledShard(sites[0].crawl, shard, list(sites),
+                          StudyDataset(engine=None))
 
 
 def _records(root, shard: str) -> list[dict]:
@@ -28,44 +40,44 @@ def test_journal_round_trips(tmp_path):
     assert len(journal) == 0
     entry = SiteOutcome(crawl=1, domain="pub.com", rank=42,
                         pages_visited=15, sockets_observed=3)
-    journal.record(entry)
+    journal.record(_shard(0, entry))
     reopened = _open(tmp_path)
     assert len(reopened) == 1
-    assert reopened.get(1, "pub.com") == entry
-    assert reopened.get(0, "pub.com") is None
-    assert reopened.covers(1, ["pub.com"])
-    assert not reopened.covers(1, ["pub.com", "other.com"])
-    assert not reopened.covers(0, ["pub.com"])
+    assert reopened.get(1, 0).sites == [entry]
+    assert reopened.get(0, 0) is None
+    assert reopened.covers(1, 0)
+    assert not reopened.covers(1, 1)
+    assert not reopened.covers(0, 0)
 
 
 def test_journal_appends_across_opens(tmp_path):
     first = _open(tmp_path)
-    first.record(SiteOutcome(crawl=0, domain="a.com", rank=1,
-                             pages_visited=2))
+    first.record(_shard(0, SiteOutcome(crawl=0, domain="a.com", rank=1,
+                                       pages_visited=2)))
     second = _open(tmp_path)
-    second.record(SiteOutcome(crawl=0, domain="b.com", rank=2,
-                              quarantined=True, pages_visited=1))
+    second.record(_shard(1, SiteOutcome(crawl=0, domain="b.com", rank=2,
+                                        quarantined=True, pages_visited=1)))
     third = _open(tmp_path)
     assert len(third) == 2
-    assert third.get(0, "b.com").quarantined
+    assert third.get(0, 1).sites[0].quarantined
 
 
 def test_one_crawl_record_per_shard_across_opens(tmp_path):
     first = _open(tmp_path)
-    first.record(SiteOutcome(crawl=0, domain="a.com", rank=1,
-                             pages_visited=2))
+    first.record(_shard(0, SiteOutcome(crawl=0, domain="a.com", rank=1,
+                                       pages_visited=2)))
     first.store.seal_active()
     second = _open(tmp_path)
     assert second.crawl_labels == {0: "Apr 02-05, 2017"}
-    second.record(SiteOutcome(crawl=0, domain="b.com", rank=2,
-                              pages_visited=2))
-    second.record(SiteOutcome(crawl=1, domain="a.com", rank=1,
-                              pages_visited=2))
+    second.record(_shard(1, SiteOutcome(crawl=0, domain="b.com", rank=2,
+                                        pages_visited=2)))
+    second.record(_shard(0, SiteOutcome(crawl=1, domain="a.com", rank=1,
+                                        pages_visited=2)))
     second.store.seal_active()
     crawl0 = [r["t"] for r in _records(tmp_path, "crawl00")]
     crawl1 = [r["t"] for r in _records(tmp_path, "crawl01")]
-    assert crawl0 == ["crawl", "site", "site"]
-    assert crawl1 == ["crawl", "site"]
+    assert crawl0 == ["crawl", "shard", "shard"]
+    assert crawl1 == ["crawl", "shard"]
     # A crawl with no label falls back to a numbered one.
     assert _records(tmp_path, "crawl01")[0]["label"] == "crawl-1"
 
@@ -85,3 +97,19 @@ def test_foreign_shards_are_ignored(tmp_path):
     journal = _open(tmp_path)
     assert len(journal) == 0
     assert journal.crawl_labels == {}
+
+
+def test_bind_refuses_a_spool_another_study_wrote(tmp_path):
+    study = {"seed": 2017, "faults": "none", "pages_per_site": 2}
+    first = _open(tmp_path)
+    first.bind(study)
+    first.record(_shard(0, SiteOutcome(crawl=0, domain="a.com", rank=1)))
+    assert _records(tmp_path, "crawl00")[0]["study"] == study
+    _open(tmp_path).bind(study)  # the same study resumes
+    other = {**study, "faults": "flaky", "pages_per_site": 3}
+    with pytest.raises(StaleSpoolError) as refused:
+        _open(tmp_path).bind(other)
+    assert refused.value.differences == {
+        "faults": ("none", "flaky"), "pages_per_site": (2, 3),
+    }
+    assert "faults: spool 'none', study 'flaky'" in str(refused.value)
