@@ -8,15 +8,13 @@ per request, and — the headline — ns/match of the compiled index
 against a replica of the pre-compiled-index sharding at 10k/50k/100k
 rules. ``BENCH_FILTERS.json`` records the
 scale table; the 50k compiled-vs-legacy speedup is asserted >= 10x and
-history-gated by ``repro perf check``. The table holds raw wall-clock
-ns; the speedup is taken from the same passes rescaled to the reference
-host speed (perfbench's ``SpeedMeter``), so a noisy neighbour that
-slows one engine's passes and not the other's does not move it.
+history-gated by ``repro perf check``.
 """
 
 import re
+from time import perf_counter
 
-from conftest import BENCH_CONFIG, speed_meter, write_bench_json
+from conftest import BENCH_CONFIG, write_bench_json
 
 from repro.filters.compiled import CompiledFilterEngine
 from repro.filters.parser import parse_filter_line, parse_filter_list
@@ -154,36 +152,20 @@ class _LegacyIndexEngine:
         return matched and not exception
 
 
-def _match_corpus(engine, corpus):
+def _ns_per_match(engine, corpus, reps):
+    """Best-of-``reps`` ns per ``would_block`` over the corpus (one
+    untimed pass first warms every lazily compiled rule regex)."""
     for url, resource_type, first_party in corpus:
         engine.would_block(url, resource_type, first_party_url=first_party)
-
-
-def _ns_per_match(engines, corpus, reps):
-    """Best-of-``reps`` ns per ``would_block`` over the corpus, one
-    ``(raw, reference_speed)`` pair per engine.
-
-    The engines take turns, one timed pass each per round, so a slow
-    spell on the host falls on every engine's passes alike; each timed
-    pass follows an untimed one of the same engine, so it runs with its
-    own working set warm (the first untimed pass also compiles every
-    lazily compiled rule regex).
-    """
-    meter_class = speed_meter()
-    raw = [float("inf")] * len(engines)
-    scaled = [float("inf")] * len(engines)
+    best = float("inf")
     for _ in range(reps):
-        for slot, engine in enumerate(engines):
-            _match_corpus(engine, corpus)
-            with meter_class() as meter:
-                _match_corpus(engine, corpus)
-            raw[slot] = min(raw[slot], meter.raw_s)
-            scaled[slot] = min(scaled[slot], meter.scaled_s)
-    per_match = 1e9 / len(corpus)
-    return [
-        (raw_s * per_match, scaled_s * per_match)
-        for raw_s, scaled_s in zip(raw, scaled)
-    ]
+        start = perf_counter()
+        for url, resource_type, first_party in corpus:
+            engine.would_block(
+                url, resource_type, first_party_url=first_party
+            )
+        best = min(best, perf_counter() - start)
+    return best / len(corpus) * 1e9
 
 
 def test_list_scale_matching():
@@ -199,22 +181,19 @@ def test_list_scale_matching():
         lists = generate_filter_lists(rule_count, seed=2018)
         corpus = generate_request_corpus(lists, corpus_size, seed=2018)
         compiled = CompiledFilterEngine(lists)
-        (compiled_ns, compiled_ref_ns), (legacy_ns, legacy_ref_ns) = (
-            _ns_per_match([compiled, _LegacyIndexEngine(lists)],
-                          corpus, reps)
-        )
         row = {
             "rules": compiled.rule_count,
-            "compiled_match_ns": compiled_ns,
-            "legacy_match_ns": legacy_ns,
+            "compiled_match_ns": _ns_per_match(compiled, corpus, reps),
+            "legacy_match_ns": _ns_per_match(
+                _LegacyIndexEngine(lists), corpus, reps
+            ),
         }
         if rule_count == 50_000:
-            speedup_50k = legacy_ref_ns / compiled_ref_ns
+            speedup_50k = row["legacy_match_ns"] / row["compiled_match_ns"]
         table[f"{rule_count // 1000}k"] = row
         print(f"\n{rule_count} rules: " + "  ".join(
             f"{key}={value:,.0f}" for key, value in row.items()
-        ) + f"  (reference speed: compiled={compiled_ref_ns:,.0f}"
-            f"  legacy={legacy_ref_ns:,.0f})")
+        ))
 
     assert speedup_50k is not None
     write_bench_json("filters", {

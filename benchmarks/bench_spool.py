@@ -17,22 +17,15 @@ Measures, at the configured bench preset,
   over total records stays ≤ 0.25 — not wall-clock: at bench scales
   the full sweep is already sub-second, dominated by file-open and
   labeling fixed costs that incremental pays too, so wall parity is
-  expected and only sanity-bounded here. The sanity bound compares the
-  two runs at the reference host speed (perfbench's ``SpeedMeter``),
-  each timed with the heap that existed before it frozen out of the
-  cyclic collector (``gc.freeze``), as a fresh ``repro analyze``
-  process would run: otherwise one full collection over the crawled
-  study still held in memory, landing in one run and not the other,
-  outweighs either run.
+  expected and only sanity-bounded here.
 
 Results land in ``results/bench/BENCH_SPOOL.json`` and feed the
 ``repro perf check`` history gate like every other bench.
 """
 
-import gc
 import time
 
-from conftest import BENCH_CONFIG, speed_meter, write_bench_json
+from conftest import BENCH_CONFIG, write_bench_json
 
 from repro.analysis.cache import StageCache, labeler_fingerprint
 from repro.analysis.engine import AnalysisEngine, DatasetSource
@@ -54,20 +47,6 @@ def _timed(fn):
     t0 = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - t0
-
-
-def _metered(fn):
-    """``fn()`` and its ``SpeedMeter``, run with the existing heap
-    frozen out of the cyclic collector."""
-    meter_class = speed_meter()
-    gc.collect()
-    gc.freeze()
-    try:
-        with meter_class() as meter:
-            result = fn()
-    finally:
-        gc.unfreeze()
-    return result, meter
 
 
 def test_spool_durability_and_incremental(tmp_path):
@@ -136,17 +115,16 @@ def test_spool_durability_and_incremental(tmp_path):
     import_spool(fine, dataset)
 
     warm_slices = _spool_slices(fine, dataset)
-    warm, warm_meter = _metered(lambda: engine.run(
+    warm, warm_seconds = _timed(lambda: engine.run(
         DatasetSource.from_file(dataset),
         slices=warm_slices,
         state_cache=state_cache,
     ))
-    full, full_meter = _metered(
+    full, full_seconds = _timed(
         lambda: AnalysisEngine(stages=study_stages()).run(
             DatasetSource.from_file(dataset)
         )
     )
-    warm_seconds, full_seconds = warm_meter.raw_s, full_meter.raw_s
 
     # Correctness before cost: the growth left the labeler stable,
     # incremental folded only the new segments, and the artifacts are
@@ -166,10 +144,8 @@ def test_spool_durability_and_incremental(tmp_path):
     # The work-ratio gate: incremental decodes only the new tail.
     work_ratio = warm.views_folded / full.views_folded
     assert work_ratio <= 0.25
-    # Wall sanity only (see module docstring for why not 0.25), at the
-    # reference host speed.
-    warm_ref, full_ref = warm_meter.scaled_s, full_meter.scaled_s
-    assert warm_ref <= max(2.0 * full_ref, full_ref + 0.5)
+    # Wall sanity only (see module docstring for why not 0.25).
+    assert warm_seconds <= max(2.0 * full_seconds, full_seconds + 0.5)
 
     write_bench_json("spool", {
         "preset": BENCH_CONFIG.name,

@@ -9,7 +9,6 @@ compute every table and figure.
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -36,7 +35,7 @@ from repro.crawler.crawler import (
 from repro.crawler.dataset import StudyDataset
 from repro.crawler.outcome import LaneStats
 from repro.crawler.persistence import CrawlJournal, JournaledShard
-from repro.filters import CompiledFilterEngine
+from repro.filters import CompiledFilterEngine, filter_lists_digest
 from repro.labeling.aa_labeler import AaLabeler
 from repro.labeling.resolver import DomainResolver
 from repro.obs import Obs, ObsSummary
@@ -168,19 +167,13 @@ def study_stamp(
     filter lists' raw rules (the engine labels every resource a shard
     folds, and real lists change between crawls).
     """
-    rules = hashlib.sha256()
-    for filter_list in engine.lists:
-        rules.update(f"list={filter_list.name}\n".encode())
-        for rule in filter_list.rules:
-            rules.update(rule.raw.encode())
-            rules.update(b"\n")
     return {
         "seed": config.seed,
         "scale": config.scale,
         "sample_scale": config.resolved_sample_scale,
         "pages_per_site": config.pages_per_site,
         "faults": config.faults,
-        "filter_lists": rules.hexdigest()[:16],
+        "filter_lists": filter_lists_digest(engine.lists).hexdigest()[:16],
     }
 
 

@@ -29,6 +29,7 @@ from repro.filters.rules import (
     FilterList,
     FilterRule,
     RuleOptions,
+    filter_lists_digest,
 )
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "load_filter_file",
     "FilterRule",
     "FilterList",
+    "filter_lists_digest",
     "RuleOptions",
     "DEFAULT_TYPES",
     "SCHEME_RE",

@@ -8,8 +8,10 @@ for rules that never get near the hot path.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.net.domains import registrable_domain
 from repro.net.http import ResourceType
@@ -356,3 +358,20 @@ class FilterList:
 
     def __len__(self) -> int:
         return len(self.rules)
+
+
+def filter_lists_digest(
+    lists: Iterable[FilterList], digest: "hashlib._Hash | None" = None
+) -> "hashlib._Hash":
+    """Hash each list's name and raw rules, in order, into ``digest``.
+
+    A fresh SHA-256 when ``digest`` is omitted; returned either way, so
+    a caller that hashes more than the lists passes its own.
+    """
+    digest = hashlib.sha256() if digest is None else digest
+    for filter_list in lists:
+        digest.update(f"list={filter_list.name}\n".encode())
+        for rule in filter_list.rules:
+            digest.update(rule.raw.encode())
+            digest.update(b"\n")
+    return digest

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.analysis import AnalysisEngine, DatasetSource
 from repro.extension import WEBREQUEST_BUG_FIX_VERSION
-from repro.filters import CompiledFilterEngine
+from repro.filters import CompiledFilterEngine, filter_lists_digest
 from repro.labeling import AaLabeler, DomainTagCounter
 from repro.net.http import ResourceType
 from repro.serve.types import SERVE_VERSION
@@ -112,11 +112,7 @@ def snapshot_fingerprint(
     digest.update(f"wrb-fix={wrb_fix_version}\n".encode())
     for phase in phase_lists:
         digest.update(f"phase={phase}\n".encode())
-        for filter_list in phase_lists[phase]:
-            digest.update(f"list={filter_list.name}\n".encode())
-            for rule in filter_list.rules:
-                digest.update(rule.raw.encode())
-                digest.update(b"\n")
+        filter_lists_digest(phase_lists[phase], digest)
     digest.update(f"threshold={labeler.threshold!r}\n".encode())
     for domain in sorted(labeler.aa_domains):
         digest.update(f"aa={domain}\n".encode())

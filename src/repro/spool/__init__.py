@@ -3,12 +3,13 @@
 A study run with ``--spool-dir`` journals every finished 64-site shard
 as one record into per-crawl-lane *segments* — length-prefixed,
 checksummed, append-only files (:mod:`~repro.spool.format`,
-:mod:`~repro.spool.segment`). A killed run loses at most the shard in
-flight: on reopen, :mod:`~repro.spool.recovery` truncates the one torn
-tail frame a crash can produce (and refuses, loudly, anything that
-looks like real corruption), after which the resumed study re-crawls
-only unjournaled shards — provided it is the study that wrote the
-spool (:class:`~repro.spool.journal.StaleSpoolError` otherwise).
+:mod:`~repro.spool.segment`). A killed run loses at most the shards
+not yet merged (one at ``--workers 1``): on reopen,
+:mod:`~repro.spool.recovery` truncates the one torn tail frame a
+crash can produce (and refuses, loudly, anything that looks like real
+corruption), after which the resumed study re-crawls only unjournaled
+shards — provided it is the study that wrote the spool
+(:class:`~repro.spool.journal.StaleSpoolError` otherwise).
 
 ``repro spool import`` (:mod:`~repro.spool.importer`) drains sealed
 segments into the v2 dataset file idempotently — canonical record

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 SPOOL_FORMAT = "repro.spool"
-#: Version 3: one record per finished shard (a row per site and the
-#: shard's one dataset fold), and crawl records stamped with their
-#: study; segments of versions 1 (page observations per site) and 2
-#: (a fold per site) are refused at recovery.
+#: Version 3: one record per finished shard (a row per site, the
+#: shard's one dataset fold and the stamp of the study that wrote it);
+#: segments of versions 1 (page observations per site) and 2 (a fold
+#: per site) are refused at recovery.
 SPOOL_VERSION = 3
 
 _PREFIX = struct.Struct(">II")

@@ -16,17 +16,20 @@ uninterrupted one.
 
 Two record types live in the spool::
 
-    {"t": "crawl", "index": 0, "label": "vanilla", "study": {...}}
-    {"t": "shard", "crawl": 0, "shard": 3, "sites": [...], "fold": {...}}
+    {"t": "crawl", "index": 0, "label": "vanilla"}
+    {"t": "shard", "crawl": 0, "shard": 3, "study": {...},
+     "sites": [...], "fold": {...}}
 
 The ``crawl`` record, once per crawl, carries what
-:meth:`StudyDataset.record_crawl` needs and the stamp of the study
-that wrote it (:meth:`SpoolJournal.bind`); it is written lazily before
-a crawl's first shard so an untouched crawl leaves no trace. A
-``shard`` record holds one row of summary counts per site and the
-shard's one dataset fold, never raw page observations — exactly what
-a resume restores; the journal keeps the entries it read at open, but
-not the ones it writes.
+:meth:`StudyDataset.record_crawl` needs; it is written lazily before a
+crawl's first shard so an untouched crawl leaves no trace. A ``shard``
+record holds one row of summary counts per site and the shard's one
+dataset fold, never raw page observations — exactly what a resume
+restores — and the stamp of the study that wrote it
+(:meth:`SpoolJournal.bind`). Every shard record carries the stamp
+because quota eviction can delete the segment holding a crawl's
+``crawl`` record while later segments of that crawl stay. The journal
+keeps the entries it read at open, but not the ones it writes.
 """
 
 from __future__ import annotations
@@ -95,9 +98,8 @@ class SpoolJournal:
         kind = payload.get("t")
         if kind == "crawl":
             self.crawl_labels[payload["index"]] = payload["label"]
-            if "study" in payload:
-                self._stamps.append(payload["study"])
         elif kind == "shard":
+            self._stamps.append(payload["study"])
             entry = JournaledShard.from_json(payload)
             self._restored[(entry.crawl, entry.shard)] = entry
             self._journaled.add((entry.crawl, entry.shard))
@@ -112,7 +114,7 @@ class SpoolJournal:
         """Refuse a spool another study wrote; stamp what this one writes.
 
         Raises :class:`StaleSpoolError` naming every field in which a
-        ``crawl`` record read at open disagrees with ``study``. Crawl
+        ``shard`` record read at open disagrees with ``study``. Shard
         records written from now on carry ``study``.
         """
         for stamp in self._stamps:
@@ -134,16 +136,24 @@ class SpoolJournal:
         return (crawl, shard) in self._journaled
 
     def record(self, entry: JournaledShard) -> None:
-        """Durably append one finished shard to its crawl's lane."""
+        """Durably append one finished shard to its crawl's lane.
+
+        Raises ``RuntimeError`` before :meth:`bind`: a shard record
+        without its study's stamp would resume into any study.
+        """
+        if self._study is None:
+            raise RuntimeError("bind the journal to its study before "
+                               "recording a shard")
         lane = shard_for_crawl(entry.crawl)
         if entry.crawl not in self._crawls_started:
             self._crawls_started.add(entry.crawl)
             label = self._labels.get(entry.crawl, f"crawl-{entry.crawl}")
             self.crawl_labels[entry.crawl] = label
-            header = {"t": "crawl", "index": entry.crawl, "label": label}
-            if self._study is not None:
-                header["study"] = self._study
-            self.store.append(lane, header)
-        self.store.append(lane, {"t": "shard", **entry.to_json()})
+            self.store.append(
+                lane, {"t": "crawl", "index": entry.crawl, "label": label}
+            )
+        self.store.append(
+            lane, {"t": "shard", "study": self._study, **entry.to_json()}
+        )
         self._journaled.add((entry.crawl, entry.shard))
         self._sites += len(entry.sites)

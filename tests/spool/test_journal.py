@@ -18,8 +18,13 @@ from repro.spool import (
 from repro.spool.segment import read_segment
 
 
-def _open(root) -> SpoolJournal:
-    return SpoolJournal(SpoolStore.open(root), {0: "Apr 02-05, 2017"})
+STUDY = {"seed": 2017, "faults": "none", "pages_per_site": 2}
+
+
+def _open(root, study=STUDY) -> SpoolJournal:
+    journal = SpoolJournal(SpoolStore.open(root), {0: "Apr 02-05, 2017"})
+    journal.bind(study)
+    return journal
 
 
 def _shard(shard: int, *sites: SiteOutcome) -> JournaledShard:
@@ -100,16 +105,24 @@ def test_foreign_shards_are_ignored(tmp_path):
 
 
 def test_bind_refuses_a_spool_another_study_wrote(tmp_path):
-    study = {"seed": 2017, "faults": "none", "pages_per_site": 2}
-    first = _open(tmp_path)
-    first.bind(study)
-    first.record(_shard(0, SiteOutcome(crawl=0, domain="a.com", rank=1)))
-    assert _records(tmp_path, "crawl00")[0]["study"] == study
-    _open(tmp_path).bind(study)  # the same study resumes
-    other = {**study, "faults": "flaky", "pages_per_site": 3}
+    _open(tmp_path).record(
+        _shard(0, SiteOutcome(crawl=0, domain="a.com", rank=1))
+    )
+    crawl, shard = _records(tmp_path, "crawl00")
+    assert "study" not in crawl and shard["study"] == STUDY
+    _open(tmp_path)  # the same study resumes
+    other = {**STUDY, "faults": "flaky", "pages_per_site": 3}
     with pytest.raises(StaleSpoolError) as refused:
-        _open(tmp_path).bind(other)
+        _open(tmp_path, other)
     assert refused.value.differences == {
         "faults": ("none", "flaky"), "pages_per_site": (2, 3),
     }
     assert "faults: spool 'none', study 'flaky'" in str(refused.value)
+
+
+def test_record_before_bind_is_refused(tmp_path):
+    journal = SpoolJournal(SpoolStore.open(tmp_path), {})
+    with pytest.raises(RuntimeError, match="bind the journal"):
+        journal.record(_shard(0, SiteOutcome(crawl=0, domain="a.com",
+                                             rank=1)))
+    assert list_segments(tmp_path) == []
