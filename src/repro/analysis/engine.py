@@ -176,15 +176,10 @@ class AnalysisEngine:
     def run(
         self,
         source: DatasetSource,
-        view_sink: Callable[[SocketView], None] | None = None,
         slices: Sequence[SegmentSlice] = (),
         state_cache: StageCache | None = None,
     ) -> AnalysisResult:
         """Classify once, fold every pending stage, finalize, cache.
-
-        ``view_sink`` receives every classified view in record order
-        (the study runner uses it to keep ``StudyResult.views``);
-        passing ``None`` keeps the run memory-bounded.
 
         ``slices`` must tile the record region in record order, without
         gaps or overlaps — the spool import journal provides exactly
@@ -197,8 +192,8 @@ class AnalysisEngine:
         ``state_cache`` (a ``kind="state"`` :class:`StageCache`)
         restores every cached (slice, stage) state instead of folding
         it and stores the ones it folds, so a slice's records are read
-        only when one of its states misses; a ``view_sink`` makes every
-        slice fold. Contiguous slices to fold share one ranged read.
+        only when one of its states misses. Contiguous slices to fold
+        share one ranged read.
         """
         with self._span("labeling"):
             labeler = source.dataset.derive_labeler()
@@ -247,7 +242,7 @@ class AnalysisEngine:
             list[tuple[AnalysisStage, AnalysisStage, str]],
         ]] = []
         views_folded = segments_folded = 0
-        if pending or view_sink is not None:
+        if pending:
             labeler_fp = (
                 labeler_fingerprint(labeler, resolver)
                 if state_cache is not None else ""
@@ -259,8 +254,7 @@ class AnalysisEngine:
                     key = state_key(entry.lines_sha, labeler_fp, stage)
                     payload = (
                         state_cache.load(stage.name, key)
-                        if state_cache is not None and view_sink is None
-                        else None
+                        if state_cache is not None else None
                     )
                     if payload is not None:
                         partial.restore_state(payload)
@@ -271,9 +265,7 @@ class AnalysisEngine:
             counts = dict.fromkeys(
                 ("views", "aa_sockets", "aa_initiated", "aa_received"), 0
             )
-            for read, group in groupby(
-                plan, key=lambda step: bool(step[2]) or view_sink is not None
-            ):
+            for read, group in groupby(plan, key=lambda step: bool(step[2])):
                 if not read:
                     continue
                 run = list(group)
@@ -297,8 +289,6 @@ class AnalysisEngine:
                                 counts["aa_initiated"] += 1
                             if view.aa_received:
                                 counts["aa_received"] += 1
-                            if view_sink is not None:
-                                view_sink(view)
                             for partial in targets:
                                 partial.fold(view)
                 if state_cache is not None:

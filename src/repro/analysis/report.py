@@ -322,11 +322,6 @@ def render_lint(result: FullLintResult) -> str:
                 f"parsed {analysis.parsed_files} file(s), "
                 f"{analysis.cached_files} from cache"
             )
-        if result.baselined:
-            lines.append(
-                f"{result.baselined} accepted finding(s) demoted to "
-                f"warnings by staticlint-baseline.json"
-            )
         lines.append(render_lint_report(result.flow_report))
         sections.append("\n".join(lines))
     counts = result.report.counts()

@@ -9,11 +9,8 @@ extension field that browser devtools use.
 from __future__ import annotations
 
 import datetime as dt
-import json
-from pathlib import Path
 from typing import Iterable
 
-from repro.util.atomicio import atomic_write
 from repro.cdp.events import (
     CdpEvent,
     RequestWillBeSent,
@@ -144,10 +141,3 @@ def _empty_response() -> dict:
         "headersSize": -1,
         "bodySize": -1,
     }
-
-
-def save_har(path: str | Path, events: Iterable[CdpEvent]) -> Path:
-    """Write a session's HAR document to disk; returns the path."""
-    document = json.dumps(events_to_har(events), indent=2,
-                          ensure_ascii=False)
-    return atomic_write(Path(path), document + "\n")

@@ -2,19 +2,18 @@
 
 The original study archived raw crawl output and analyzed it post-hoc
 (e.g. the filter lists were applied to chains "post-hoc", §4.2). The
-recorder captures the exact event stream of a page visit so analyses can
-be re-run without re-crawling, and so fixtures for tests can be stored
-as plain JSONL.
+recorder captures the exact event stream of a page visit in memory, so
+analyses can be re-run without re-crawling. Like all of ``repro.cdp``
+(the crawl hot path) it does no I/O: ``repro visit --har`` writes the
+HAR (:func:`repro.cdp.har.events_to_har`) itself.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterator
 
 from repro.cdp.bus import EventBus
-from repro.cdp.events import CdpEvent, parse_event
-from repro.util.serialization import read_jsonl, write_jsonl
+from repro.cdp.events import CdpEvent
 
 
 class SessionRecorder:
@@ -40,15 +39,6 @@ class SessionRecorder:
     def clear(self) -> None:
         """Drop recorded events."""
         self.events.clear()
-
-    def save(self, path: str | Path) -> int:
-        """Write the recorded session to JSONL; returns the event count."""
-        return write_jsonl(path, (event.to_cdp() for event in self.events))
-
-    @staticmethod
-    def load(path: str | Path) -> list[CdpEvent]:
-        """Parse a recorded session back into typed events."""
-        return [parse_event(record) for record in read_jsonl(path)]
 
     def replay_into(self, bus: EventBus) -> int:
         """Publish all recorded events onto another bus, in order."""

@@ -43,10 +43,10 @@ Commands:
 * ``lint``    — static analysis: filter-list defects (incl. WebSocket
   blindspots), webRequest pattern verdicts cross-validated against
   dynamic dispatch, and the repro's own whole-program self-lint
-  (determinism, API boundaries, and the FLOW zone contracts, gated by
-  the committed ``staticlint-baseline.json``; ``--json`` emits one
-  JSON object per finding, ``--flow-cache-dir`` holds the
-  content-addressed parse cache).
+  (determinism, API boundaries, and the FLOW zone contracts; any
+  finding among them fails it; ``--json`` emits one JSON object per
+  finding, ``--flow-cache-dir`` holds the content-addressed parse
+  cache).
 
 Global flags: ``--quiet`` suppresses progress lines on stderr;
 ``--verbose`` adds stage-transition lines. Exit codes: 0 success, 1
@@ -69,7 +69,7 @@ import sys
 from repro.analysis import report as report_mod
 from repro.browser import Browser
 from repro.cdp import EventBus, SessionRecorder
-from repro.cdp.har import save_har
+from repro.cdp.har import events_to_har
 from repro.crawler.persistence import DatasetError, save_dataset
 from repro.experiments import (
     DEFAULT_CONFIG,
@@ -91,6 +91,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.parallel import ParallelExecutionError
+from repro.util.urls import UrlError
 from repro.web.filterlists import (
     LIST_SCALES,
     build_easylist_text,
@@ -523,7 +524,14 @@ def _cmd_visit(args: argparse.Namespace) -> int:
         for frame in ws.websocket.frames[: args.frames]:
             print(f"  {'→' if frame.sent else '←'} {frame.payload[:100]}")
     if recorder is not None:
-        path = save_har(args.har, recorder.events)
+        import json
+        from pathlib import Path
+
+        from repro.util.atomicio import atomic_write
+
+        document = json.dumps(events_to_har(recorder.events), indent=2,
+                              ensure_ascii=False)
+        path = atomic_write(Path(args.har), document + "\n")
         print(f"\nHAR written to {path}")
     return 0
 
@@ -535,7 +543,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except ValueError:
         print(f"unknown resource type {args.type!r}", file=sys.stderr)
         return 2
-    result = engine.match(args.url, rtype, args.first_party)
+    try:
+        result = engine.match(args.url, rtype, args.first_party)
+    except UrlError as error:
+        print(f"bad URL: {error}", file=sys.stderr)
+        return 2
     if result.blocked:
         print(f"BLOCKED by {result.list_name}: {result.rule.raw}")
     elif result.matched:
@@ -550,7 +562,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.staticlint.baseline import load_baseline, write_baseline
     from repro.staticlint.cache import FactsCache
     from repro.staticlint.runner import run_full_lint
 
@@ -559,29 +570,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     cache = None
     if check_self and not args.no_flow_cache:
         cache = FactsCache(Path(args.flow_cache_dir))
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = load_baseline(Path(args.baseline))
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
     result = run_full_lint(
-        check_lists=not self_only,
-        check_webrequest=not self_only,
-        check_self=check_self,
-        baseline=baseline,
-        cache=cache,
+        check_registry=not self_only, check_self=check_self, cache=cache
     )
-    if args.write_baseline:
-        if result.flow_analysis is None:
-            print("--write-baseline requires the self-lint stage",
-                  file=sys.stderr)
-            return 2
-        target = Path(args.baseline or "staticlint-baseline.json")
-        entries = write_baseline(target, result.flow_analysis.flow_report)
-        print(f"wrote {len(entries)} baseline entries to {target}")
-        return 0
     if args.json:
         for diag in result.report.diagnostics:
             print(json.dumps(diag.to_json(), sort_keys=True))
@@ -1001,12 +992,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--json", action="store_true",
                       help="emit one JSON object per diagnostic instead of "
                            "the rendered report")
-    lint.add_argument("--baseline", default="",
-                      help="accepted-violation baseline file (default: the "
-                           "committed staticlint-baseline.json)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="record current FLOW findings as the accepted "
-                           "baseline and exit 0")
     lint.add_argument("--flow-cache-dir", default="results/cache/staticlint",
                       help="facts-cache directory for the whole-program "
                            "self-lint (content-addressed by source hash)")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from repro.analysis import (
@@ -25,6 +26,7 @@ from repro.analysis import (
     Table3Row,
     Table4,
     Table5,
+    classify_sockets,
     study_stages,
 )
 from repro.crawler.crawler import (
@@ -112,7 +114,6 @@ class StudyResult:
         dataset: Raw accumulated measurements.
         summaries: Per-crawl run summaries.
         labeler / resolver: Derived A&A labels and Cloudfront mapping.
-        views: Classified socket records.
         table1 … figure3, blocking, overall: The computed artifacts.
         lint: Static-analysis companion report over the same registry
             the crawls used (filter-list blindspots, webRequest
@@ -128,7 +129,6 @@ class StudyResult:
     summaries: list[CrawlRunSummary]
     labeler: AaLabeler
     resolver: DomainResolver
-    views: list[SocketView]
     table1: list[Table1Row]
     table2: list[Table2Row]
     table3: list[Table3Row]
@@ -139,6 +139,12 @@ class StudyResult:
     overall: OverallStats
     lint: FullLintResult | None = None
     obs: ObsSummary | None = None
+
+    @cached_property
+    def views(self) -> list[SocketView]:
+        """Classified socket records, in record order (classified on
+        first use; the analysis sweep keeps none)."""
+        return classify_sockets(self.dataset, self.labeler, self.resolver)
 
 
 def crawl_configs(web: SyntheticWeb, config: StudyConfig) -> list[CrawlConfig]:
@@ -263,15 +269,6 @@ def run_crawls(
                 obs.metrics.record_counts(
                     f"filters.by_crawl.{crawl_config.index}", delta
                 )
-    if obs is not None:
-        stats = engine.stats
-        obs.metrics.histogram(
-            "filters.candidates_per_match"
-        ).observe(
-            (stats.token_candidates + stats.host_candidates
-             + stats.generic_candidates)
-            / max(stats.matches, 1)
-        )
     return dataset, summaries
 
 
@@ -287,15 +284,10 @@ def analyze(
     A thin driver over :class:`repro.analysis.engine.AnalysisEngine`:
     one classification sweep feeds every stage accumulator, and the
     finalized artifacts land in the same ``StudyResult`` fields as
-    before. The view list is retained (via the engine's ``view_sink``)
-    because ``StudyResult.views`` is part of the study's API; the
-    memory-bounded path is ``repro analyze`` over a saved dataset.
+    before.
     """
     engine = AnalysisEngine(stages=study_stages(), obs=obs)
-    views: list[SocketView] = []
-    outcome = engine.run(
-        DatasetSource.from_dataset(dataset), view_sink=views.append
-    )
+    outcome = engine.run(DatasetSource.from_dataset(dataset))
     lint_span = (obs.span("lint") if obs is not None else nullcontext())
     with lint_span:
         lint = run_full_lint(registry=web.registry, check_self=False)
@@ -306,7 +298,6 @@ def analyze(
         summaries=summaries,
         labeler=outcome.labeler,
         resolver=outcome.resolver,
-        views=views,
         table1=outcome["table1"],
         table2=outcome["table2"],
         table3=outcome["table3"],

@@ -112,8 +112,13 @@ class ImportState:
         Trailing entries whose fingerprint does not match the dataset
         file on disk are dropped (counted in ``dropped``) — the
         signature of a crash between journal write and dataset rename,
-        or of a dataset regenerated outside the importer.
+        or of a dataset regenerated outside the importer. Raises
+        :class:`FileNotFoundError` when ``root`` is not a directory, so
+        a mistyped spool path fails before anything creates it instead
+        of reading as an empty spool.
         """
+        if not Path(root).is_dir():
+            raise FileNotFoundError(f"no spool directory at {root}")
         journal_path = Path(root) / JOURNAL_NAME
         state = cls(journal_path=journal_path)
         if dataset_path is not None:

@@ -25,15 +25,9 @@ artifacts, three analyzers sharing one diagnostic model:
   an interprocedural effect fixpoint
   (:mod:`~repro.staticlint.effects`), and three zone contracts —
   determinism zones (FLOW-DET), async-readiness of the crawl hot path
-  (FLOW-ASYNC), and architecture layering (FLOW-LAYER/FLOW-CYCLE) —
-  ratcheted by :mod:`~repro.staticlint.baseline`.
+  (FLOW-ASYNC), and architecture layering (FLOW-LAYER/FLOW-CYCLE).
 """
 
-from repro.staticlint.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.staticlint.cache import FactsCache
 from repro.staticlint.determinism import lint_paths, lint_self, lint_source_text
 from repro.staticlint.diagnostics import Diagnostic, LintReport, Severity
@@ -95,7 +89,4 @@ __all__ = [
     "analyze_facts",
     "analyze_self",
     "analyze_tree",
-    "apply_baseline",
-    "load_baseline",
-    "write_baseline",
 ]

@@ -51,9 +51,6 @@ class Diagnostic:
         trace: For interprocedural findings, the call chain from the
             violating entry point to the effect's origin, as display
             names (``repro.crawler.crawler.Crawler.crawl_site``, …).
-        baseline_key: A line-number-free identity used to match the
-            finding against ``staticlint-baseline.json`` entries; empty
-            for findings that are never baselined.
     """
 
     rule_id: str
@@ -62,7 +59,6 @@ class Diagnostic:
     message: str
     fix_hint: str = ""
     trace: tuple[str, ...] = ()
-    baseline_key: str = ""
 
     @property
     def file(self) -> str:
@@ -94,7 +90,6 @@ class Diagnostic:
             "message": self.message,
             "fix_hint": self.fix_hint,
             "trace": list(self.trace),
-            "baseline_key": self.baseline_key,
         }
 
     def format(self) -> str:

@@ -12,9 +12,9 @@ enforces three *zone contracts* that per-file syntactic linting cannot:
   two modules away that *wraps* it.
 * ``FLOW-ASYNC`` — **async-readiness**: no ``blocking-io`` reachable
   from the crawl hot path (``browser/``, ``cdp/``, and the crawler
-  core) — the pre-flight gate for the ROADMAP's asyncio refactor,
-  where one synchronous ``open()`` under an event loop stalls every
-  concurrent site crawl.
+  core) — under an event loop one synchronous ``open()`` would stall
+  every concurrent site crawl, so archive and session I/O lives with
+  its callers (``repro visit --har`` writes its HAR in the CLI).
 * ``FLOW-LAYER`` / ``FLOW-CYCLE`` — **architecture layering**: a
   declared layer DAG over the top-level packages (util at the bottom,
   experiments/cli at the top); imports that reach *upward* and
@@ -42,10 +42,8 @@ enforces three *zone contracts* that per-file syntactic linting cannot:
 
 Every interprocedural finding carries the full call chain from the
 zone entry point to the effect's origin, both rendered in the message
-and structured in ``Diagnostic.trace``. Findings are identified by a
-line-number-free ``baseline_key`` so ``staticlint-baseline.json`` can
-hold currently-accepted violations and the CI gate fails only on new
-ones (:mod:`repro.staticlint.baseline`).
+and structured in ``Diagnostic.trace``. Every ERROR finding fails
+``repro lint --self``.
 """
 
 from __future__ import annotations
@@ -341,7 +339,6 @@ def _zone_findings(
                 ),
                 fix_hint=fix_hint,
                 trace=displays,
-                baseline_key=f"{rule_id}::{node_id}::{effect}",
             ))
     return report
 
@@ -422,7 +419,6 @@ def _layer_findings(graph: ProjectGraph, config: FlowConfig) -> LintReport:
                 message=f"package {source_pkg!r} is not in the declared "
                         f"layer DAG",
                 fix_hint="add it to repro.staticlint.flow.DEFAULT_LAYERS",
-                baseline_key=f"FLOW-LAYER::unknown::{source_pkg}",
             ))
         for target, lineno in graph.module_imports[module]:
             target_pkg = config.package_of(target, packages)
@@ -447,7 +443,6 @@ def _layer_findings(graph: ProjectGraph, config: FlowConfig) -> LintReport:
                     ),
                     fix_hint="invert the dependency or move the shared "
                              "code to a lower layer",
-                    baseline_key=f"FLOW-LAYER::{module}::{target}",
                 ))
 
     adjacency = {
@@ -470,7 +465,6 @@ def _layer_findings(graph: ProjectGraph, config: FlowConfig) -> LintReport:
             message=f"package import cycle: {ring}",
             fix_hint="break the cycle with an interface module in a "
                      "lower layer",
-            baseline_key=f"FLOW-CYCLE::{'->'.join(scc)}",
         ))
     return report
 

@@ -12,11 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.staticlint.baseline import (
-    apply_baseline,
-    default_baseline_path,
-    load_baseline,
-)
 from repro.staticlint.cache import FactsCache
 from repro.staticlint.diagnostics import LintReport
 from repro.staticlint.flow import FlowAnalysis, analyze_self
@@ -57,13 +52,11 @@ class FullLintResult:
         api_report: Package-boundary lint over ``src/repro`` (``None``
             when skipped; runs alongside the determinism self-lint).
         flow_report: Whole-program zone-contract lint (FLOW-*) over
-            ``src/repro``, baseline already applied (``None`` when
-            skipped). All three self reports come from ONE parse of the
-            tree — see :mod:`repro.staticlint.flow`.
+            ``src/repro`` (``None`` when skipped). All three self
+            reports come from ONE parse of the tree — see
+            :mod:`repro.staticlint.flow`.
         flow_analysis: The underlying whole-program analysis (graph,
             effect fixpoint, cache hit counters).
-        baselined: FLOW findings demoted to warnings because they are
-            recorded in ``staticlint-baseline.json``.
         report: All diagnostics merged across analyzers, canonical
             (stable-sorted, deduped — byte-stable between runs).
     """
@@ -77,14 +70,12 @@ class FullLintResult:
     api_report: LintReport | None = None
     flow_report: LintReport | None = None
     flow_analysis: FlowAnalysis | None = None
-    baselined: int = 0
     report: LintReport = field(default_factory=LintReport)
 
     @property
     def exit_code(self) -> int:
         """Non-zero when the determinism, API-boundary, or zone
-        contract is violated (modulo the baseline — baselined findings
-        are warnings) or a static verdict disagreed with dynamic
+        contract is violated or a static verdict disagreed with dynamic
         dispatch."""
         failing = [
             d for d in self.report.errors
@@ -97,41 +88,33 @@ class FullLintResult:
 
 def run_full_lint(
     registry=None,
-    check_lists: bool = True,
-    check_webrequest: bool = True,
+    check_registry: bool = True,
     check_self: bool = True,
-    baseline: frozenset[str] | None = None,
     cache: FactsCache | None = None,
 ) -> FullLintResult:
     """Run the selected analyzers; see :class:`FullLintResult`.
 
     Args:
         registry: Web registry for the filter/webRequest stages.
-        check_lists: Run the filter-list analyzer.
-        check_webrequest: Run the listener classifier + cross-check.
+        check_registry: Run the filter-list analyzer and the listener
+            classifier + cross-check over ``registry``.
         check_self: Run the whole-program self-lint (DET/API/FLOW).
-        baseline: Accepted FLOW baseline keys; ``None`` loads the
-            committed ``staticlint-baseline.json`` (missing file =
-            empty baseline).
         cache: Content-addressed facts cache; ``None`` parses every
             file fresh.
     """
     from repro.web.filterlists import build_filter_lists
     from repro.web.registry import default_registry
 
-    if registry is None and (check_lists or check_webrequest):
-        registry = default_registry()
     result = FullLintResult()
 
-    # One analysis serves the list diagnostics and every cross-check.
-    if check_lists or check_webrequest:
+    if check_registry:
+        if registry is None:
+            registry = default_registry()
+        # One analysis serves the list diagnostics and every cross-check.
         analysis = analyze_filter_lists(build_filter_lists(registry),
                                         registry=registry)
-    if check_lists:
         result.filter_analysis = analysis
         result.report.extend(analysis.report)
-
-    if check_webrequest:
         for label, chrome_major, ws_aware in _LISTENER_CONFIGS:
             patterns = _WS_AWARE_PATTERNS if ws_aware else _HTTP_ONLY_PATTERNS
             verdict, verdict_report = classify_listener(patterns, chrome_major)
@@ -144,17 +127,11 @@ def run_full_lint(
             result.report.extend(cross_validation_report(records))
 
     if check_self:
-        accepted = (
-            baseline if baseline is not None
-            else load_baseline(default_baseline_path())
-        )
         analysis = analyze_self(cache=cache)
         result.flow_analysis = analysis
         result.self_report = analysis.det_report
         result.api_report = analysis.api_report
-        result.flow_report, result.baselined = apply_baseline(
-            analysis.flow_report, accepted
-        )
+        result.flow_report = analysis.flow_report
         result.report.extend(result.self_report)
         result.report.extend(result.api_report)
         result.report.extend(result.flow_report)

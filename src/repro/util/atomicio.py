@@ -1,8 +1,8 @@
 """Atomic file writes: temp file + rename, in the target directory.
 
 Every durable artifact this repo produces — datasets, reports, traces,
-bench JSON, cache entries, the staticlint baseline — must never be
-observable half-written: a crash mid-write would otherwise leave a
+bench JSON, cache entries, HAR archives — must never be observable
+half-written: a crash mid-write would otherwise leave a
 torn file that a later run trusts (a cache entry that parses but lies,
 a dataset missing its tail). The fix is the classic one: write the
 full content to a temporary file *in the same directory* (so the

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.classify import classify_one
 from repro.analysis.engine import (
     AnalysisEngine,
     DatasetSource,
@@ -60,12 +61,14 @@ class TestStreamingEquivalence:
         for name, expected in _study_artifacts(tiny_study).items():
             assert dumps(outcome[name]) == dumps(expected), name
 
-    def test_view_sink_preserves_record_order(self, tiny_study, dataset_file):
-        views = []
-        engine = AnalysisEngine(stages=[])
-        engine.run(DatasetSource.from_file(dataset_file),
-                   view_sink=views.append)
-        assert dumps(views) == dumps(tiny_study.views)
+    def test_study_views_match_file_records_in_order(self, tiny_study,
+                                                     dataset_file):
+        source = DatasetSource.from_file(dataset_file)
+        labeler = source.dataset.derive_labeler()
+        resolver = source.dataset.derive_resolver(labeler)
+        views = [classify_one(record, labeler, resolver)
+                 for record in source.records()]
+        assert dumps(tiny_study.views) == dumps(views)
 
     def test_fingerprints_agree_live_vs_file(self, tiny_study, dataset_file):
         assert (dataset_fingerprint(tiny_study.dataset)

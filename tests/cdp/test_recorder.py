@@ -24,17 +24,6 @@ def test_records_published_events():
     assert len(recorder) == 2
 
 
-def test_save_load_round_trip(tmp_path):
-    bus = EventBus()
-    recorder = SessionRecorder(bus)
-    for event in _events():
-        bus.publish(event)
-    path = tmp_path / "session.jsonl"
-    assert recorder.save(path) == 2
-    loaded = SessionRecorder.load(path)
-    assert loaded == recorder.events
-
-
 def test_replay_into_other_bus():
     bus = EventBus()
     recorder = SessionRecorder(bus)

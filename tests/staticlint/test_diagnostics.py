@@ -83,7 +83,6 @@ class TestJsonForm:
             "repro/crawler/core.py:12",
             rule="FLOW-DET",
             trace=("repro.crawler.core.crawl", "repro.util.helpers.now"),
-            baseline_key="FLOW-DET::repro.crawler.core:crawl::wallclock",
         )
         payload = diag.to_json()
         assert payload == {
@@ -95,7 +94,6 @@ class TestJsonForm:
             "message": "m",
             "fix_hint": "",
             "trace": ["repro.crawler.core.crawl", "repro.util.helpers.now"],
-            "baseline_key": "FLOW-DET::repro.crawler.core:crawl::wallclock",
         }
         # The object must be JSON-serializable as-is (the --json path).
         assert json.loads(json.dumps(payload)) == payload
