@@ -460,7 +460,13 @@ def _cmd_perf_diff(args: argparse.Namespace) -> int:
 def _cmd_perf_check(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs import check_history, check_json, read_history, render_check
+    from repro.obs import (
+        check_history,
+        check_json,
+        fingerprint_key,
+        read_history,
+        render_check,
+    )
 
     try:
         records, skipped = read_history(args.history)
@@ -470,7 +476,8 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
         return 2
     check = check_history(records, window=args.window,
                           tolerance=args.tolerance,
-                          min_delta=args.min_delta)
+                          min_delta=args.min_delta,
+                          host=fingerprint_key())
     check.skipped_lines = skipped
     if args.json:
         print(json.dumps(check_json(check), sort_keys=True))

@@ -14,6 +14,14 @@ common rule shape entirely:
   every rule picks its rarest reliable token, which flattens the hot
   buckets popular tokens (``ads``, ``banner``, …) would otherwise
   create.
+* **Pair and prefix keys** — a token bucket still over 24 entries is
+  re-sharded: a rule with a second reliable token moves under the
+  ``(primary, secondary)`` pair, and a rule with only the one moves
+  under ``(primary, "<" + first three chars)`` of its first
+  *half-bounded* run (left edge bounded, right edge not: ``fjpw`` in
+  ``/jtn/fjpw``). Every URL such a rule matches holds a maximal
+  alphanumeric run *starting* with that run, so the pair bucket is
+  offered only when one of the URL's tokens starts with the prefix.
 * **Hostname trie lane** — every ``||host...`` rule is keyed by its
   literal host span in a character trie: a rule's own host is far more
   selective than any token it shares with thousands of others
@@ -29,7 +37,10 @@ common rule shape entirely:
   over the authority, never compiling or running their regex.
 * **Bit-mask pre-filters** — each entry carries an int resource-type
   mask and party tri-state; candidates fail these (and the ``$domain=``
-  constraint) before any regex runs.
+  constraint) before any regex runs. Each bucket is frozen into
+  tuple sub-buckets per ``(type bit, party)``, keyed by key tuples
+  every bucket shares, so the pair and prefix buckets cost little
+  memory at 100k rules.
 * **Exception short-circuit** — the exception index records the union
   mask of resource types its rules can ever apply to; when a block hit
   needs exception processing, a single bit test skips the whole
@@ -100,6 +111,12 @@ _T_SEP = 1
 
 _URL_TOKEN_RE = re.compile(r"[a-z0-9]{3,}")
 
+# A prefix key is this mark plus the first ``_PREFIX_LEN`` chars of a
+# half-bounded run. The mark never occurs in a token, so prefix keys
+# and secondary tokens share one pair table without colliding.
+_PREFIX_MARK = "<"
+_PREFIX_LEN = 3
+
 _WILDCARD_SPLIT_RE = re.compile(r"[*^|]+")
 
 _AUTHORITY_END_RE = re.compile(r"[/?#]")
@@ -130,6 +147,25 @@ def _literal_prescreen(rule: FilterRule) -> str:
     fragments = _WILDCARD_SPLIT_RE.split(rule.pattern)
     longest = max(fragments, key=len)
     return longest.lower() if len(longest) >= 3 else ""
+
+
+def _index_keys(rule: FilterRule) -> tuple[list[str], str]:
+    """The rule's reliable tokens and its prefix key, from one scan.
+
+    The prefix key (``""`` when there is none) comes from the first
+    half-bounded run — left edge bounded, right edge not (see
+    :meth:`FilterRule.token_details`). Every URL the rule matches holds
+    a maximal alphanumeric run that starts with that run, so one of the
+    URL's tokens starts with the key's chars.
+    """
+    tokens: list[str] = []
+    prefix = ""
+    for run, left, right in rule.token_details():
+        if left and right:
+            tokens.append(run)
+        elif left and not prefix:
+            prefix = _PREFIX_MARK + run[:_PREFIX_LEN]
+    return tokens, prefix
 
 
 def _compile_entry(order: int, rule: FilterRule, list_name: str) -> CompiledEntry:
@@ -196,17 +232,25 @@ _LANE_HOST = 1
 _LANE_GENERIC = 2
 
 #: A logical bucket after freezing: ``(resource-type bit, third_party)``
-#: key -> order-sorted entry list. ``best_match`` reads exactly one key
+#: key -> order-sorted entry tuple. ``best_match`` reads exactly one key
 #: per request, so entries whose type mask or party tri-state cannot
 #: apply are never iterated at all.
-FrozenBucket = dict[tuple[int, bool], list[CompiledEntry]]
+FrozenBucket = dict[tuple[int, bool], tuple[CompiledEntry, ...]]
+
+# Every frozen bucket keys its sub-buckets by these shared tuples: at
+# 100k rules a fresh key tuple per sub-bucket costs megabytes.
+_SUB_KEYS: dict[tuple[int, bool], tuple[int, bool]] = {
+    (bit, party): (bit, party)
+    for bit in _TYPE_BITS
+    for party in (True, False)
+}
 
 
 def _freeze_bucket(entries: list[CompiledEntry]) -> FrozenBucket:
     """Split one order-sorted bucket by every (type bit, party) it can
     serve. Entries with no type/party constraint fan out to all their
     keys; append order preserves order-sortedness per key."""
-    frozen: FrozenBucket = {}
+    staged: dict[tuple[int, bool], list[CompiledEntry]] = {}
     for entry in entries:
         mask = entry[_E_TYPE_MASK]
         required_party = entry[_E_THIRD_PARTY]
@@ -216,8 +260,8 @@ def _freeze_bucket(entries: list[CompiledEntry]) -> FrozenBucket:
         for bit in _TYPE_BITS:
             if mask & bit:
                 for party in parties:
-                    frozen.setdefault((bit, party), []).append(entry)
-    return frozen
+                    staged.setdefault(_SUB_KEYS[bit, party], []).append(entry)
+    return {key: tuple(sub) for key, sub in staged.items()}
 
 
 def _freeze_trie(node: dict) -> None:
@@ -234,21 +278,24 @@ class _CompiledIndex:
     generic bucket. Buckets are order-sorted by construction and frozen
     into per-``(type, party)`` sub-buckets before first use."""
 
-    __slots__ = ("_by_token", "_pairs", "_sharded", "_trie", "_generic",
+    __slots__ = ("_by_token", "_pairs", "_trie", "_generic",
                  "type_presence", "size")
 
     #: Token buckets larger than this are re-sharded under (primary,
-    #: secondary) token pairs; a pair bucket is only offered when the
-    #: URL contains *both* tokens, so hot shared words ("ads", zipf
-    #: heads) stop dominating the candidate stream.
+    #: secondary) pairs, where the secondary is a second token or a
+    #: prefix key; a pair bucket is only offered when the URL contains
+    #: the primary token *and* the secondary token (or a token starting
+    #: with the prefix), so hot shared words ("ads", zipf heads) stop
+    #: dominating the candidate stream.
     _PAIR_SHARD_THRESHOLD = 24
 
     def __init__(
-        self, entries: Sequence[tuple[CompiledEntry, list[str]]]
+        self, entries: Sequence[tuple[CompiledEntry, list[str], str]]
     ) -> None:
         self._by_token: dict[str, FrozenBucket] = {}
-        self._pairs: dict[tuple[str, str], FrozenBucket] = {}
-        self._sharded: dict[str, bool] = {}
+        # primary token -> secondary token or prefix key -> bucket; a
+        # primary is present only when its bucket was re-sharded.
+        self._pairs: dict[str, dict[str, FrozenBucket]] = {}
         self._trie: dict = {}
         self._generic: FrozenBucket = {}
         self.type_presence = 0
@@ -257,7 +304,7 @@ class _CompiledIndex:
         # Pass 1: global reliable-token frequencies (host-anchored
         # rules never consume a token slot, so they don't count).
         frequency: dict[str, int] = {}
-        for entry, tokens in entries:
+        for entry, tokens, _prefix in entries:
             if entry[_E_HOST_SPAN]:
                 continue
             for token in dict.fromkeys(tokens):
@@ -271,9 +318,9 @@ class _CompiledIndex:
         # lexicographically smaller — deterministic), or the generic
         # bucket when no reliable token exists.
         load_key = lambda t: (frequency[t], -len(t), t)  # noqa: E731
-        staged: dict[str, list[tuple[CompiledEntry, list[str]]]] = {}
+        staged: dict[str, list[tuple[CompiledEntry, list[str], str]]] = {}
         generic: list[CompiledEntry] = []
-        for entry, tokens in entries:
+        for entry, tokens, prefix in entries:
             self.type_presence |= entry[_E_TYPE_MASK]
             if entry[_E_HOST_SPAN]:
                 node = self._trie
@@ -285,29 +332,31 @@ class _CompiledIndex:
                 node.setdefault(terminal, []).append(entry)
             elif tokens:
                 token = min(tokens, key=load_key)
-                staged.setdefault(token, []).append((entry, tokens))
+                staged.setdefault(token, []).append((entry, tokens, prefix))
             else:
                 generic.append(entry)
 
-        # Pass 3: re-shard oversized token buckets under token *pairs*.
-        # An entry with a second reliable token moves to the
-        # ``(primary, secondary)`` bucket, offered only when the URL
-        # contains both tokens; single-token entries stay behind in the
-        # (now much smaller) residual bucket. Append order preserves
-        # the global order-sortedness of every bucket.
+        # Pass 3: re-shard oversized token buckets under *pairs*. An
+        # entry with a second reliable token moves to the ``(primary,
+        # secondary)`` bucket, offered only when the URL contains both
+        # tokens; a single-token entry with a prefix key moves to the
+        # ``(primary, prefix key)`` bucket, offered only when one of
+        # the URL's tokens starts with the prefix. The rest stay behind
+        # in the (now much smaller) residual bucket. Append order
+        # preserves the global order-sortedness of every bucket.
         residuals: dict[str, list[CompiledEntry]] = {}
-        pairs: dict[tuple[str, str], list[CompiledEntry]] = {}
+        pairs: dict[str, dict[str, list[CompiledEntry]]] = {}
         for token, staged_bucket in staged.items():
             bucket = residuals.setdefault(token, [])
             if len(staged_bucket) <= self._PAIR_SHARD_THRESHOLD:
-                bucket.extend(entry for entry, _ in staged_bucket)
+                bucket.extend(entry for entry, _, _ in staged_bucket)
                 continue
-            self._sharded[token] = True
-            for entry, tokens in staged_bucket:
+            shard = pairs.setdefault(token, {})
+            for entry, tokens, prefix in staged_bucket:
                 others = [t for t in dict.fromkeys(tokens) if t != token]
-                if others:
-                    secondary = min(others, key=load_key)
-                    pairs.setdefault((token, secondary), []).append(entry)
+                secondary = min(others, key=load_key) if others else prefix
+                if secondary:
+                    shard.setdefault(secondary, []).append(entry)
                 else:
                     bucket.append(entry)
 
@@ -319,7 +368,12 @@ class _CompiledIndex:
             if bucket
         }
         self._pairs = {
-            pair: _freeze_bucket(bucket) for pair, bucket in pairs.items()
+            token: {
+                secondary: _freeze_bucket(bucket)
+                for secondary, bucket in shard.items()
+            }
+            for token, shard in pairs.items()
+            if shard
         }
         self._generic = _freeze_bucket(generic)
         _freeze_trie(self._trie)
@@ -368,18 +422,26 @@ class _CompiledIndex:
         tokens = list(dict.fromkeys(url_tokens))
         by_token = self._by_token
         pairs = self._pairs
-        sharded = self._sharded
+        secondaries: list[str] | None = None
         for token in tokens:
             bucket = by_token.get(token)
             if bucket is not None:
                 yield bucket, _LANE_TOKEN
-            if token in sharded:
-                for other in tokens:
-                    if other == token:
-                        continue
-                    bucket = pairs.get((token, other))
-                    if bucket is not None:
-                        yield bucket, _LANE_TOKEN
+            shard = pairs.get(token)
+            if shard is None:
+                continue
+            if secondaries is None:
+                # Every URL token, then every URL token's prefix key —
+                # the primary's own included: ``/jtn/jtn`` keys its
+                # end run under ``<jtn``, and in ``https://x.io/jtn/jtn``
+                # only the primary ``jtn`` itself supplies that key.
+                secondaries = tokens + list(dict.fromkeys(
+                    _PREFIX_MARK + other[:_PREFIX_LEN] for other in tokens
+                ))
+            for secondary in secondaries:
+                bucket = shard.get(secondary)
+                if bucket is not None:
+                    yield bucket, _LANE_TOKEN
         for bucket in self._lane_buckets(lowered_url, auth):
             yield bucket, _LANE_HOST
         if self._generic:
@@ -456,14 +518,14 @@ class CompiledFilterEngine:
     def __init__(self, lists: Iterable[FilterList]) -> None:
         self.lists = list(lists)
         self.stats = EngineStats()
-        blocks: list[tuple[CompiledEntry, list[str]]] = []
-        exceptions: list[tuple[CompiledEntry, list[str]]] = []
+        blocks: list[tuple[CompiledEntry, list[str], str]] = []
+        exceptions: list[tuple[CompiledEntry, list[str], str]] = []
         order = 0
         for filter_list in self.lists:
             for rule in filter_list.rules:
                 compiled = (
                     _compile_entry(order, rule, filter_list.name),
-                    rule.index_tokens(),
+                    *_index_keys(rule),
                 )
                 (exceptions if rule.is_exception else blocks).append(compiled)
                 order += 1

@@ -260,30 +260,35 @@ class FilterRule:
         body = self.pattern[2:]
         return body[: host_span_length(body)].lower()
 
-    def token_details(self) -> list[tuple[str, bool]]:
-        """Every literal token of the pattern with its reliability bit.
+    def token_details(self) -> list[tuple[str, bool, bool]]:
+        """Every literal token of the pattern with the bound of each edge.
 
         A token is a maximal ≥3-char ``[a-z0-9]`` run inside the
-        pattern's literal text (lowered). It is *reliable* — guaranteed
-        to appear as a maximal alphanumeric run in every matching URL,
-        and therefore safe to index the rule under — only when both of
-        its edges are bounded:
+        pattern's literal text (lowered), reported as ``(token,
+        left_bounded, right_bounded)``. An edge is *bounded* — the
+        alphanumeric run of every matching URL provably stops there —
+        when it touches:
 
-        * by a literal non-alphanumeric char (``/``, ``.``, ``-``, …):
+        * a literal non-alphanumeric char (``/``, ``.``, ``-``, …):
           the matching URL contains that char right next to the token;
-        * by ``^``: the separator class excludes alphanumerics, and a
+        * ``^``: the separator class excludes alphanumerics, and a
           ``^`` adjacent to a token can only have matched a real
           separator char or the URL end;
-        * by an anchored pattern edge: ``|`` is the URL start/end, and
+        * an anchored pattern edge: ``|`` is the URL start/end, and
           the ``||`` prefix always puts ``://`` or ``.`` before the
           first host char.
 
-        A token abutting ``*`` or an *unanchored* pattern edge is
-        unreliable: the neighboring URL text may extend the
-        alphanumeric run, so the URL tokenizer (which emits only
-        maximal runs) never produces the token and an index keyed on it
-        silently drops matches — ``/ads*banner`` indexed under
-        ``banner`` is never offered for ``/adsbanner123``.
+        An edge abutting ``*`` or an *unanchored* pattern edge is
+        unbounded: the neighboring URL text may extend the alphanumeric
+        run. A token is *reliable* — guaranteed to appear as a maximal
+        alphanumeric run in every matching URL, and therefore safe to
+        index the rule under — only when both edges are bounded; the
+        URL tokenizer emits only maximal runs, so an index keyed on an
+        unreliable token silently drops matches (``/ads*banner``
+        indexed under ``banner`` is never offered for
+        ``/adsbanner123``). A token bounded on the left only is
+        *half-bounded*: every matching URL holds a maximal run that
+        *starts* with it, which the compiled index keys on by prefix.
         """
         pattern = self.pattern
         if pattern.startswith("||"):
@@ -301,7 +306,7 @@ class FilterRule:
         else:
             right_anchored = False
         lowered = body.lower()
-        details: list[tuple[str, bool]] = []
+        details: list[tuple[str, bool, bool]] = []
         i, n = 0, len(lowered)
         while i < n:
             if lowered[i] not in _TOKEN_CHARS:
@@ -313,7 +318,7 @@ class FilterRule:
             if j - i >= 3:
                 left_ok = left_anchored if i == 0 else lowered[i - 1] != "*"
                 right_ok = right_anchored if j == n else lowered[j] != "*"
-                details.append((lowered[i:j], left_ok and right_ok))
+                details.append((lowered[i:j], left_ok, right_ok))
             i = j
         return details
 
@@ -322,11 +327,14 @@ class FilterRule:
 
         Used by the matchers to shard rules: a rule is only tried
         against URLs containing one of its tokens, so only tokens whose
-        :meth:`token_details` reliability bit is set may be returned —
+        :meth:`token_details` edges are both bounded may be returned —
         indexing under an unreliable token causes silent false
         negatives (the PR-9 token-index bug).
         """
-        return [token for token, reliable in self.token_details() if reliable]
+        return [
+            token for token, left, right in self.token_details()
+            if left and right
+        ]
 
 
 @dataclass

@@ -11,7 +11,10 @@ kind of machine.
 The regression gate (``repro perf check``) groups the history per
 ``(bench, metric, hardware, context)``, takes the latest record per
 group, and compares it against the *median* of a rolling window of
-prior records. Direction is inferred from the metric name
+prior records. It gates only the groups of the host it runs on
+(:func:`fingerprint_key`): no later run can move another host's
+groups, so their last verdict would stand for good. Direction is
+inferred from the metric name
 (``*_seconds`` regress upward, ``*speedup*`` regress downward;
 unclassifiable metrics — table values, counts — are never gated). A
 regression means the latest value moved past the tolerance band, and
@@ -297,6 +300,9 @@ class HistoryCheck:
         ungated: Groups skipped for lack of direction semantics.
         fresh: Groups with no prior record (first appearance).
         skipped_lines: Corrupt history lines ignored.
+        host: The hardware key gated, or ``None`` for every host.
+        other_hosts: Hardware key -> groups not gated because they
+            belong to another host.
     """
 
     regressions: list[Regression] = field(default_factory=list)
@@ -305,6 +311,8 @@ class HistoryCheck:
     ungated: int = 0
     fresh: int = 0
     skipped_lines: int = 0
+    host: str | None = None
+    other_hosts: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -316,6 +324,7 @@ def check_history(
     window: int = 5,
     tolerance: float = 0.5,
     min_delta: float = 0.01,
+    host: str | None = None,
 ) -> HistoryCheck:
     """Compare each group's latest record to its rolling baseline.
 
@@ -329,15 +338,22 @@ def check_history(
             directional metric counts as regressed.
         min_delta: Absolute floor — movements smaller than this are
             noise regardless of ratio (guards near-zero baselines).
+        host: Gate only groups with this hardware key and count the
+            rest under ``other_hosts``; ``None`` gates every group.
     """
     grouped: dict[tuple[str, str, str, str], list[BenchRecord]] = {}
     for record in records:
         grouped.setdefault(record.group_key(), []).append(record)
 
-    result = HistoryCheck(groups=len(grouped))
+    result = HistoryCheck(groups=len(grouped), host=host)
     for key in sorted(grouped):
         series = grouped[key]
         latest = series[-1]
+        if host is not None and latest.hardware != host:
+            result.other_hosts[latest.hardware] = (
+                result.other_hosts.get(latest.hardware, 0) + 1
+            )
+            continue
         prior = series[:-1][-window:]
         if not prior:
             result.fresh += 1
@@ -367,16 +383,21 @@ def check_history(
 
 def render_check(check: HistoryCheck) -> str:
     """The gate verdict as text (one line per regression)."""
-    head = (
+    lines = [
         f"benchmark history: {check.groups} metric group(s), "
-        f"{check.compared} gated, {check.ungated} without perf "
+        + (f"host {check.host}: " if check.host is not None else "")
+        + f"{check.compared} gated, {check.ungated} without perf "
         f"semantics, {check.fresh} first-seen"
         + (f", {check.skipped_lines} corrupt line(s) skipped"
            if check.skipped_lines else "")
+    ]
+    lines.extend(
+        f"not gated: other host {key or 'unknown-hw'} ({count} group(s))"
+        for key, count in sorted(check.other_hosts.items())
     )
     if check.ok:
-        return f"{head}\nno regressions"
-    lines = [head, f"{len(check.regressions)} REGRESSION(S):"]
+        return "\n".join(lines + ["no regressions"])
+    lines.append(f"{len(check.regressions)} REGRESSION(S):")
     lines.extend(f"  {r.describe()}" for r in check.regressions)
     return "\n".join(lines)
 
@@ -391,6 +412,8 @@ def check_json(check: HistoryCheck) -> dict:
         "ungated": check.ungated,
         "fresh": check.fresh,
         "skipped_lines": check.skipped_lines,
+        "host": check.host,
+        "other_hosts": dict(sorted(check.other_hosts.items())),
         "regressions": [
             {
                 "bench": r.record.bench,

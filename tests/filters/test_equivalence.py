@@ -262,6 +262,121 @@ def test_list_order_is_decisive(lines, url, rtype, page):
 
 
 # ---------------------------------------------------------------------------
+# Oversized token buckets: (primary, secondary) and prefix-key re-sharding
+# ---------------------------------------------------------------------------
+
+# Second-run shapes after a ``head`` that carries the shared token
+# (``/tok`` or ``|https://x.io``). Only the shared token is reliable in
+# the first three, so those rules all land in its bucket; ``run`` is
+# half-bounded in "end" and "before_star" (a prefix key), bounded on
+# neither side in "after_star" (no key), and reliable in "bounded".
+_SECOND_RUN_SHAPES = {
+    "end": lambda head, run, tail: f"{head}/{run}",
+    "before_star": lambda head, run, tail: f"{head}/{run}*{tail}",
+    "after_star": lambda head, run, tail: f"{head}/*{run}",
+    "bounded": lambda head, run, tail: f"{head}/{run}/",
+}
+_SHARED_TOKEN_SHAPES = ("end", "before_star", "after_star")
+_OVERSIZED_OPTIONS = (
+    "", "match-case", "domain=pub.example", "domain=~pub.example",
+    "script", "third-party",
+)
+_OVERSIZED_PAGES = ("https://pub.example/", "https://x.io/")
+
+
+@st.composite
+def _oversized_case(draw):
+    """25–40 same-polarity rules whose one reliable token is shared —
+    a path token, or the ``https`` of a ``|https://x.io`` anchor — then
+    0–8 more of any shape and polarity, and requests built from the
+    same runs. A catch-all block rule closes the list, so exceptions
+    are decisive whenever the shared-token rules are ``@@`` rules."""
+    anchored = draw(st.booleans())
+    token = "https" if anchored else draw(
+        st.from_regex(r"[a-z]{3,6}", fullmatch=True)
+    )
+    heads = ("|https://x.io", f"/{token}")
+    head = heads[0] if anchored else heads[1]
+    # Runs share first chars with each other and, at times, with the
+    # shared token itself (``/tok/tok`` keys its run under ``<tok``).
+    firsts = draw(st.lists(st.from_regex(r"[a-z]{3}", fullmatch=True),
+                           min_size=1, max_size=2, unique=True))
+    if draw(st.booleans()):
+        firsts.append(token[:3])
+    runs = draw(st.lists(
+        st.builds(str.__add__, st.sampled_from(firsts),
+                  st.from_regex(r"[a-z0-9]{0,3}", fullmatch=True)),
+        min_size=2, max_size=6, unique=True,
+    ))
+    main_exception = draw(st.booleans())
+
+    def rule_line(head, shapes, exception):
+        body = _SECOND_RUN_SHAPES[draw(st.sampled_from(shapes))](
+            head, draw(st.sampled_from(runs)), draw(st.sampled_from(runs))
+        )
+        option = draw(st.sampled_from(_OVERSIZED_OPTIONS))
+        return ("@@" if exception else "") + body + (
+            f"${option}" if option else ""
+        )
+
+    lines = [
+        rule_line(head, _SHARED_TOKEN_SHAPES, main_exception)
+        for _ in range(draw(st.integers(25, 40)))
+    ]
+    lines += [
+        rule_line(draw(st.sampled_from(heads)),
+                  tuple(_SECOND_RUN_SHAPES), draw(st.booleans()))
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    lines.append(f"{head}/")
+
+    def url_run():
+        run = draw(st.sampled_from(runs))
+        variant = draw(st.sampled_from(("exact", "extended", "head", "upper")))
+        if variant == "extended":
+            return run + "xyz"
+        if variant == "head":
+            return run[:3] + "qq"  # shares only the first three chars
+        return run.upper() if variant == "upper" else run
+
+    base = "https://x.io" if anchored else f"https://x.io/{token}"
+    requests = []
+    for _ in range(draw(st.integers(4, 8))):
+        url = (
+            f"{base}/{draw(st.sampled_from(['', 'zz']))}{url_run()}"
+            f"{draw(st.sampled_from(['', '/', '-']))}"
+            f"{url_run() if draw(st.booleans()) else ''}"
+        )
+        requests.append((
+            url.upper() if draw(st.booleans()) else url,
+            draw(st.sampled_from([ResourceType.SCRIPT, ResourceType.IMAGE])),
+            draw(st.sampled_from(_OVERSIZED_PAGES)),
+        ))
+    return token, main_exception, lines, requests
+
+
+@given(_oversized_case())
+@settings(max_examples=150, deadline=None)
+def test_oversized_bucket_agrees(case):
+    """A token bucket past the pair-shard threshold must keep the
+    verdicts and decisive rules of ``linear_match``: prefix keys may
+    only narrow what is offered to URLs no moved rule can match."""
+    token, main_exception, lines, requests = case
+    lists = _lists(*lines)
+    comp = CompiledFilterEngine(lists)
+    index = comp._exceptions if main_exception else comp._blocks
+    assert token in index._pairs, lines  # the bucket was re-sharded
+    for url, rtype, page in requests:
+        result = comp.match(url, rtype, page)
+        c = linear_match(lists, url, rtype, page)
+        assert result.blocked == c.blocked, (lines, url, rtype, page)
+        assert result.rule is c.rule, (lines, url, rtype, page)
+        assert result.exception_rule is c.exception_rule, (
+            lines, url, rtype, page,
+        )
+
+
+# ---------------------------------------------------------------------------
 # Generated-list equivalence + legacy-delta audit + pickling
 # ---------------------------------------------------------------------------
 
@@ -325,6 +440,17 @@ def test_generated_10k_list_equivalence(generated_10k):
         blocked += c.blocked
     # The corpus must actually exercise the engine, not be all misses.
     assert blocked >= 25
+
+
+def test_generated_10k_token_candidates_per_match(generated_10k):
+    """Re-sharded hot buckets must keep the token lane narrow: about 6
+    offered token candidates per match with prefix keys, 17.8 when
+    single-token rules stayed in the residual buckets."""
+    lists, corpus = generated_10k
+    comp = CompiledFilterEngine(lists)
+    for url, rtype, page in corpus:
+        comp.match(url, rtype, page)
+    assert comp.stats.token_candidates / comp.stats.matches <= 8
 
 
 def test_artifact_delta_is_exactly_old_false_negatives(generated_10k):

@@ -72,6 +72,23 @@ class TestIndexTokens:
         rule = parse_filter_line("/ad^")
         assert rule.index_tokens() == []  # "ad" is under 3 chars
 
+    def test_token_details_report_each_edge(self):
+        # (token, left bounded, right bounded): "ziqnqhgpj" is
+        # half-bounded, "oafcqrj" touches "*" and the unanchored end.
+        rule = parse_filter_line("/jtn/ziqnqhgpj*oafcqrj")
+        assert rule.token_details() == [
+            ("jtn", True, True),
+            ("ziqnqhgpj", True, False),
+            ("oafcqrj", False, False),
+        ]
+        assert rule.index_tokens() == ["jtn"]
+        assert parse_filter_line("|abc^def|").token_details() == [
+            ("abc", True, True), ("def", True, True),
+        ]
+        assert parse_filter_line("abc^*def").token_details() == [
+            ("abc", False, True), ("def", False, False),
+        ]
+
 
 class TestRegexCompilation:
     def test_case_insensitive_by_default(self):

@@ -331,17 +331,22 @@ class TestPerfCommands:
                                                     capsys):
         import json
 
-        from repro.obs.history import append_history, records_for_payload
+        from repro.obs.history import (
+            append_history,
+            fingerprint_key,
+            records_for_payload,
+        )
 
         history = tmp_path / "history.jsonl"
+        host = fingerprint_key()
         for _ in range(5):
             append_history(history, records_for_payload(
-                "parallel", {"workers_4_seconds": 1.0}, hardware="hw"))
+                "parallel", {"workers_4_seconds": 1.0}, hardware=host))
         assert main(["perf", "check", "--history", str(history)]) == 0
         assert "no regressions" in capsys.readouterr().out
 
         append_history(history, records_for_payload(
-            "parallel", {"workers_4_seconds": 2.0}, hardware="hw"))
+            "parallel", {"workers_4_seconds": 2.0}, hardware=host))
         assert main(["perf", "check", "--history", str(history)]) == 5
         assert "REGRESSION" in capsys.readouterr().out
         assert main(["perf", "check", "--history", str(history),
@@ -353,6 +358,46 @@ class TestPerfCommands:
         assert main(["perf", "check", "--history", str(history),
                      "--tolerance", "2.0"]) == 0
         capsys.readouterr()
+
+    def test_check_gates_only_the_running_host(self, tmp_path, capsys):
+        import json
+
+        from repro.obs.history import (
+            append_history,
+            fingerprint_key,
+            records_for_payload,
+        )
+
+        history = tmp_path / "history.jsonl"
+        host = fingerprint_key()
+        for value in (1.0,) * 5 + (3.0,):
+            for hardware in ("retired-hw", host):
+                append_history(history, records_for_payload(
+                    "parallel", {"workers_4_seconds": value},
+                    hardware=hardware))
+        assert main(["perf", "check", "--history", str(history)]) == 5
+        out = capsys.readouterr().out
+        assert f"host {host}: 1 gated" in out
+        assert "not gated: other host retired-hw (1 group(s))" in out
+        assert f"parallel/workers_4_seconds [{host}]" in out
+        assert "[retired-hw" not in out
+        assert main(["perf", "check", "--history", str(history),
+                     "--json"]) == 5
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["host"] == host
+        assert payload["other_hosts"] == {"retired-hw": 1}
+        assert [r["hardware"] for r in payload["regressions"]] == [host]
+
+        # A regression on another host alone leaves the gate green.
+        other = tmp_path / "other.jsonl"
+        for value in (1.0,) * 5 + (3.0,):
+            append_history(other, records_for_payload(
+                "parallel", {"workers_4_seconds": value},
+                hardware="retired-hw"))
+        assert main(["perf", "check", "--history", str(other)]) == 0
+        out = capsys.readouterr().out
+        assert "not gated: other host retired-hw" in out
+        assert "no regressions" in out
 
     def test_check_counts_corrupt_lines(self, tmp_path, capsys):
         history = tmp_path / "history.jsonl"
