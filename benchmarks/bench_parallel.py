@@ -23,7 +23,7 @@ from repro.crawler.dataset import StudyDataset
 from repro.crawler.outcome import LaneStats
 from repro.experiments import StudyConfig
 from repro.experiments.runner import crawl_configs, run_crawls
-from repro.parallel import ShardTask, WebSpec, execute_shards, plan_shards
+from repro.parallel import ShardTask, execute_shards, plan_shards
 from repro.web.filterlists import build_filter_engine
 from repro.web.server import SyntheticWeb, WebScale
 
@@ -90,21 +90,15 @@ def test_parallel_speedup_and_merge_overhead():
 
 def _merge_cost(web):
     """Time shard execution vs the canonical-order accounting replay."""
-    spec = WebSpec(
-        sample_scale=PARALLEL_CONFIG.resolved_sample_scale,
-        entity_scale=PARALLEL_CONFIG.scale,
-        seed=PARALLEL_CONFIG.seed,
-    )
     crawl = crawl_configs(web, PARALLEL_CONFIG)[0]
     tasks = [
         ShardTask(crawl=crawl, shard_index=shard.index, sites=shard.sites,
-                  faults=PARALLEL_CONFIG.faults,
-                  study_seed=PARALLEL_CONFIG.seed, web=spec)
+                  faults=PARALLEL_CONFIG.faults)
         for shard in plan_shards(web.seed_list.sites)
     ]
     engine = build_filter_engine(web.registry)
     t0 = time.perf_counter()
-    results = list(execute_shards(web, spec, tasks, engine, workers=1))
+    results = list(execute_shards(web, tasks, engine, workers=1))
     exec_seconds = time.perf_counter() - t0
 
     dataset = StudyDataset(engine=engine)

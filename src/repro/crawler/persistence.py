@@ -703,8 +703,5 @@ class CrawlJournal(Protocol):
         they exist for the next run to resume from.
         """
 
-    def covers(self, crawl: int, shard: int) -> bool:
-        """Whether the shard is journaled for ``crawl``."""
-
     def record(self, entry: JournaledShard) -> None:
         """Durably append one finished shard."""

@@ -41,13 +41,7 @@ from repro.filters import CompiledFilterEngine, filter_lists_digest
 from repro.labeling.aa_labeler import AaLabeler
 from repro.labeling.resolver import DomainResolver
 from repro.obs import Obs, ObsSummary
-from repro.parallel import (
-    Shard,
-    ShardTask,
-    WebSpec,
-    execute_shards,
-    plan_shards,
-)
+from repro.parallel import ShardTask, execute_shards, plan_shards
 from repro.staticlint.runner import FullLintResult, run_full_lint
 from repro.web.filterlists import build_filter_engine
 from repro.web.server import SyntheticWeb, WebScale
@@ -197,7 +191,7 @@ def run_crawls(
     merge in canonical shard order, each as soon as its shard is done,
     so a ``checkpoint`` journal grows by one record per shard while
     later shards still crawl. ``workers`` only chooses where shards
-    execute (inline for 1, a multiprocessing pool otherwise), so
+    execute (inline for 1, a process pool otherwise), so
     artifacts are byte-identical across worker counts. The ``faults``
     profile on ``config`` gives each (crawl, shard) its own seeded
     fault lane; a ``checkpoint`` journal lets an interrupted study
@@ -211,28 +205,24 @@ def run_crawls(
         checkpoint.bind(study_stamp(config, engine))
     dataset = StudyDataset(engine=engine)
     summaries: list[CrawlRunSummary] = []
-    spec = WebSpec(sample_scale=config.resolved_sample_scale,
-                   entity_scale=config.scale, seed=config.seed)
     shards = plan_shards(web.seed_list.sites)
     site_total = len(web.seed_list.sites)
     configs = crawl_configs(web, config)
-
-    def journaled(crawl_config: CrawlConfig, shard: Shard) -> bool:
-        # Stable while the loop below runs: it journals a shard only
-        # after asking about it.
-        return checkpoint is not None and checkpoint.covers(
-            crawl_config.index, shard.index
-        )
-
+    restored = {} if checkpoint is None else {
+        (crawl_config.index, shard.index): entry
+        for crawl_config in configs for shard in shards
+        if (entry := checkpoint.get(crawl_config.index, shard.index))
+        is not None
+    }
     tasks = [
         ShardTask(crawl=crawl_config, shard_index=shard.index,
-                  sites=shard.sites, faults=config.faults,
-                  study_seed=config.seed, web=spec)
+                  sites=shard.sites, faults=config.faults)
         for crawl_config in configs for shard in shards
-        if not journaled(crawl_config, shard)
+        if (crawl_config.index, shard.index) not in restored
     ]
-    # Closed on the way out, so a failed merge stops a pool's workers.
-    with closing(execute_shards(web, spec, tasks, engine,
+    # Closed on the way out, so a failed merge cancels every shard the
+    # pool has not yet handed to a worker.
+    with closing(execute_shards(web, tasks, engine,
                                 workers=workers)) as results:
         for crawl_config in configs:
             stats_before = engine.stats.snapshot()
@@ -240,9 +230,8 @@ def run_crawls(
             accountant = CrawlAccountant(crawl_config, site_total, obs=obs)
             with accountant:
                 for shard in shards:
-                    if journaled(crawl_config, shard):
-                        entry = checkpoint.get(crawl_config.index,
-                                               shard.index)
+                    entry = restored.get((crawl_config.index, shard.index))
+                    if entry is not None:
                         for outcome in entry.sites:
                             accountant.restore_site(outcome)
                         dataset.merge(entry.fold)

@@ -1,4 +1,4 @@
-"""Dispatch shard tasks inline or across a multiprocessing pool.
+"""Dispatch shard tasks inline or across a process pool.
 
 The executor is deliberately dumb: it streams one ``ShardResult`` per
 task, in task order, each as soon as it is done — so the caller merges
@@ -8,7 +8,9 @@ jitter in the pool can never reach an artifact.
 ``workers=1`` executes inline in the parent process, one task per
 result drawn (no pickling, no pool), which keeps the default study
 path dependency-free and makes the single-worker run the reference the
-multi-worker run must match byte-for-byte.
+multi-worker run must match byte-for-byte. More workers run on a
+``concurrent.futures.ProcessPoolExecutor``, which fails every
+unfinished task when a worker dies instead of waiting for it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from repro.filters import CompiledFilterEngine
 from repro.parallel.worker import (
     ShardResult,
     ShardTask,
-    WebSpec,
-    prime_worker_web,
+    install_worker,
     run_shard,
     run_shard_task,
 )
@@ -39,8 +40,8 @@ class ParallelExecutionError(RuntimeError):
 
 
 def _start_context() -> multiprocessing.context.BaseContext:
-    # Fork lets workers inherit the parent's already-built web
-    # copy-on-write; elsewhere workers rebuild it from the WebSpec.
+    # Fork lets workers inherit the parent's already-built web and
+    # engine copy-on-write; elsewhere each worker unpickles them once.
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
@@ -49,7 +50,6 @@ def _start_context() -> multiprocessing.context.BaseContext:
 
 def execute_shards(
     web: SyntheticWeb,
-    spec: WebSpec,
     tasks: list[ShardTask],
     engine: CompiledFilterEngine,
     workers: int = 1,
@@ -58,23 +58,33 @@ def execute_shards(
 
     Inline, each task runs when its result is drawn; a pool runs ahead
     of the draws. ``engine`` labels every crawled resource where its
-    shard runs (see :func:`run_shard`); it must be the engine the
-    web's registry builds, which is what workers without fork
-    inheritance rebuild. Raises :class:`ParallelExecutionError` when
-    any worker dies; a partial merge would silently skew every
-    downstream table.
+    shard runs (see :func:`run_shard`). Raises
+    :class:`ParallelExecutionError` naming the first task, in task
+    order, that did not finish when a worker raises or dies; a partial
+    merge would silently skew every downstream table. Closing the
+    stream cancels every task not yet handed to a worker and waits for
+    the rest.
     """
     if workers <= 1 or len(tasks) <= 1:
         for task in tasks:
             yield run_shard(web, task, engine)
         return
-    context = _start_context()
-    prime_worker_web(spec, web, engine)
-    with context.Pool(processes=min(workers, len(tasks))) as pool:
-        results = pool.imap(run_shard_task, tasks)
+    # Imported here, so that importing the package does not pay for it.
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        max_workers=min(workers, len(tasks)),
+        mp_context=_start_context(),
+        initializer=install_worker,
+        initargs=(web, engine),
+    )
+    try:
+        results = pool.map(run_shard_task, tasks)
         for task in tasks:
             try:
                 result = next(results)
             except Exception as error:
                 raise ParallelExecutionError(task, error) from error
             yield result
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -6,11 +6,10 @@ per site, one dataset partial holding every page of the shard folded
 through the shard's filter engine as the crawler observes it (no page
 observation outlives its fold), and lane telemetry, all plain
 picklable data; the parent merges them in canonical order and
-journals the shard as one record. The synthetic web and the engine are
-heavy to pickle, so they ride into workers by fork inheritance
-(:func:`prime_worker_web` sets a module global the child inherits
-copy-on-write); on start methods without inheritance each worker
-rebuilds both from the :class:`WebSpec`, deterministic by construction.
+journals the shard as one record. The synthetic web and the engine
+reach a pool worker once, through its initializer
+(:func:`install_worker`): inherited under fork, unpickled once per
+worker under spawn; tasks carry only the shard.
 """
 
 from __future__ import annotations
@@ -23,24 +22,7 @@ from repro.crawler.outcome import LaneStats, SiteOutcome
 from repro.faults import FaultInjector, profile_named
 from repro.filters import CompiledFilterEngine
 from repro.web.alexa import Site
-from repro.web.filterlists import build_filter_engine
-from repro.web.server import SyntheticWeb, WebScale
-
-
-@dataclass(frozen=True)
-class WebSpec:
-    """Enough to rebuild the synthetic web deterministically."""
-
-    sample_scale: float
-    entity_scale: float
-    seed: int
-
-    def build(self) -> SyntheticWeb:
-        return SyntheticWeb(
-            scale=WebScale(sample_scale=self.sample_scale,
-                           entity_scale=self.entity_scale),
-            seed=self.seed,
-        )
+from repro.web.server import SyntheticWeb
 
 
 @dataclass(frozen=True)
@@ -54,16 +36,12 @@ class ShardTask:
             function of the shard plan, not the worker count.
         sites: The shard's sites, in rank order.
         faults: Named fault profile for the study.
-        study_seed: The study's root seed (fault lane keying).
-        web: Spec to rebuild the web when fork inheritance is absent.
     """
 
     crawl: CrawlConfig
     shard_index: int
     sites: tuple[Site, ...]
     faults: str
-    study_seed: int
-    web: WebSpec
 
 
 @dataclass
@@ -93,7 +71,7 @@ def shard_injector(task: ShardTask) -> FaultInjector | None:
     profile = profile_named(task.faults)
     if profile.is_zero:
         return None
-    return FaultInjector(profile, task.study_seed, task.crawl.index,
+    return FaultInjector(profile, task.crawl.seed, task.crawl.index,
                          event_lane=task.shard_index)
 
 
@@ -116,26 +94,17 @@ def run_shard(
 
 # -- worker-process plumbing ----------------------------------------------
 
-_worker_web: tuple[WebSpec, SyntheticWeb, CompiledFilterEngine] | None = None
+_worker_web: tuple[SyntheticWeb, CompiledFilterEngine] | None = None
 
 
-def prime_worker_web(
-    spec: WebSpec, web: SyntheticWeb, engine: CompiledFilterEngine
-) -> None:
-    """Install the already-built web and engine for fork-inherited workers.
-
-    Called in the parent before the pool forks; children inherit the
-    global copy-on-write and skip the rebuild entirely.
-    """
+def install_worker(web: SyntheticWeb, engine: CompiledFilterEngine) -> None:
+    """Pool initializer: keep the study's web and engine in this worker
+    process for every shard it crawls."""
     global _worker_web
-    _worker_web = (spec, web, engine)
+    _worker_web = (web, engine)
 
 
 def run_shard_task(task: ShardTask) -> ShardResult:
-    """Pool entry point: resolve the web and engine, crawl the shard."""
-    global _worker_web
-    if _worker_web is None or _worker_web[0] != task.web:
-        web = task.web.build()
-        _worker_web = (task.web, web, build_filter_engine(web.registry))
-    _, web, engine = _worker_web
+    """Pool entry point: crawl the shard on the installed web and engine."""
+    web, engine = _worker_web
     return run_shard(web, task, engine)

@@ -2,8 +2,8 @@
 
 :class:`SpoolJournal` implements
 :class:`repro.crawler.persistence.CrawlJournal` — ``bind`` / ``get``
-/ ``covers`` / ``record`` / ``__len__`` — so the study runner uses it
-without importing the spool; the wiring happens at the composition
+/ ``record`` / ``__len__`` — so the study runner uses it without
+importing the spool; the wiring happens at the composition
 root (:func:`repro.experiments.runner.run_study`).
 
 Instead of one flat JSONL file, entries go through a
@@ -80,7 +80,6 @@ class SpoolJournal:
         self.store = store
         self._labels = dict(labels)
         self._restored: dict[tuple[int, int], JournaledShard] = {}
-        self._journaled: set[tuple[int, int]] = set()
         self._sites = 0
         self._stamps: list[dict] = []
         self._study: dict | None = None
@@ -102,7 +101,6 @@ class SpoolJournal:
             self._stamps.append(payload["study"])
             entry = JournaledShard.from_json(payload)
             self._restored[(entry.crawl, entry.shard)] = entry
-            self._journaled.add((entry.crawl, entry.shard))
             self._sites += len(entry.sites)
         else:
             raise ValueError(f"unknown spool record type {kind!r}")
@@ -131,10 +129,6 @@ class SpoolJournal:
         """The entry read at open for a shard, or ``None``."""
         return self._restored.get((crawl, shard))
 
-    def covers(self, crawl: int, shard: int) -> bool:
-        """Whether the shard is journaled for ``crawl``."""
-        return (crawl, shard) in self._journaled
-
     def record(self, entry: JournaledShard) -> None:
         """Durably append one finished shard to its crawl's lane.
 
@@ -155,5 +149,4 @@ class SpoolJournal:
         self.store.append(
             lane, {"t": "shard", "study": self._study, **entry.to_json()}
         )
-        self._journaled.add((entry.crawl, entry.shard))
         self._sites += len(entry.sites)

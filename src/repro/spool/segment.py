@@ -36,9 +36,11 @@ if TYPE_CHECKING:
 OPEN_SUFFIX = ".open"
 SEALED_SUFFIX = ".seg"
 
-#: Default rotation threshold. Small enough that a smoke study rotates
-#: at least once (the recovery tests need multi-segment spools), large
-#: enough that frame overhead stays negligible.
+#: Default rotation threshold: a bound on how much one unsealed segment
+#: holds, large enough that frame overhead stays negligible. A smoke
+#: study writes one 0.5–0.6 MB segment per crawl and never rotates;
+#: tests that need multi-segment spools re-append into smaller segments
+#: (``tests/spool/conftest.py::respool``).
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
 

@@ -50,9 +50,8 @@ def test_journal_round_trips(tmp_path):
     assert len(reopened) == 1
     assert reopened.get(1, 0).sites == [entry]
     assert reopened.get(0, 0) is None
-    assert reopened.covers(1, 0)
-    assert not reopened.covers(1, 1)
-    assert not reopened.covers(0, 0)
+    assert reopened.get(1, 0) is not None
+    assert reopened.get(1, 1) is None
 
 
 def test_journal_appends_across_opens(tmp_path):

@@ -145,6 +145,22 @@ def test_study_progress_lines_on_stderr(capsys):
     assert "sockets seen" in err
 
 
+def test_study_worker_failure_is_exit_4(monkeypatch, capsys):
+    import repro.parallel.worker as worker
+
+    def failing_shard(web, task, engine):
+        raise RuntimeError("injected shard failure")
+
+    # Patched before the pool forks, so every worker inherits it.
+    monkeypatch.setattr(worker, "run_shard", failing_shard)
+    assert main(["--quiet", "study", "--preset", "smoke",
+                 "--workers", "2"]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "parallel execution failed: shard worker failed (crawl 0, "
+        "shard 0): RuntimeError('injected shard failure')"
+    ]
+
+
 def test_obs_missing_trace(tmp_path, capsys):
     assert main(["obs", str(tmp_path / "nope.jsonl")]) == 2
     assert "cannot read trace" in capsys.readouterr().err
