@@ -9,8 +9,9 @@ Measures, at the bench scale (≥4× the smoke preset on every axis),
 * the **streaming** path: one ``AnalysisEngine`` sweep over the saved
   v2 dataset file, folding all eight stage accumulators per view with
   no view list retained;
-* the same sweep while **storing** to a cold artifact cache; and
-* the **warm-cache** re-run, which must skip the sweep entirely.
+* the same sweep while **storing** to a cold stage cache; and
+* the **warm-cache** re-run, which restores every stage's state, folds
+  no view and only finalizes.
 
 Peak memory is measured per phase with ``tracemalloc`` (traced Python
 allocations — per-phase and comparable, unlike the process-wide RSS

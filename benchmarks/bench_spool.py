@@ -31,6 +31,7 @@ from repro.analysis.cache import StageCache, labeler_fingerprint
 from repro.analysis.engine import AnalysisEngine, DatasetSource
 from repro.analysis.stage import study_stages
 from repro.cli import _spool_slices
+from repro.crawler.persistence import open_dataset
 from repro.experiments.runner import run_study
 from repro.spool.importer import import_spool
 from repro.spool.segment import list_segments, read_segment
@@ -102,23 +103,22 @@ def test_spool_durability_and_incremental(tmp_path):
 
     dataset = tmp_path / "dataset.jsonl"
     _imp, import_seconds = _timed(lambda: import_spool(fine, dataset))
-    state_cache = StageCache(tmp_path / "state-cache", kind="state")
-    engine = AnalysisEngine(stages=study_stages())
+    engine = AnalysisEngine(
+        stages=study_stages(), cache=StageCache(tmp_path / "state-cache")
+    )
     cold, cold_seconds = _timed(lambda: engine.run(
         DatasetSource.from_file(dataset),
-        slices=_spool_slices(fine, dataset),
-        state_cache=state_cache,
+        slices=_spool_slices(fine, open_dataset(dataset)),
     ))
 
     for info in late:
         (stash / info.path.name).rename(info.path)
     import_spool(fine, dataset)
 
-    warm_slices = _spool_slices(fine, dataset)
+    warm_slices = _spool_slices(fine, open_dataset(dataset))
     warm, warm_seconds = _timed(lambda: engine.run(
         DatasetSource.from_file(dataset),
         slices=warm_slices,
-        state_cache=state_cache,
     ))
     full, full_seconds = _timed(
         lambda: AnalysisEngine(stages=study_stages()).run(

@@ -7,17 +7,17 @@ the §4.2 post-hoc filter-list analysis; ``stats`` computes the §4.1
 prose statistics; ``report`` renders fixed-width text tables.
 
 The streaming layer (:mod:`repro.analysis.engine`) folds every stage
-accumulator (:mod:`repro.analysis.stage`) in one O(views) sweep and
-serves unchanged stages from the content-addressed artifact cache
-(:mod:`repro.analysis.cache`); given dataset slices and a state cache,
-the same sweep folds only the slices whose state is not cached.
+accumulator (:mod:`repro.analysis.stage`) in one O(views) sweep,
+restoring each dataset slice's per-stage state from the
+content-addressed cache (:mod:`repro.analysis.cache`) where it can, so
+only uncached slices are folded; every run finalizes.
 Underscore-prefixed modules (``repro.analysis._codecs``) are
 package-private — importing them from outside ``repro.analysis`` trips
 the ``API-PRIVATE`` lint.
 """
 
 from repro.analysis.blocking import BlockingStats, compute_blocking_stats
-from repro.analysis.cache import StageCache, labeler_fingerprint, stage_key
+from repro.analysis.cache import StageCache, labeler_fingerprint
 from repro.analysis.classify import SocketView, classify_sockets
 from repro.analysis.drift import (
     InitiatorDrift,
@@ -66,7 +66,6 @@ __all__ = [
     "merge_stage_lists",
     "register_stage",
     "registered_stages",
-    "stage_key",
     "study_stages",
     # Materialized per-artifact entry points.
     "Table1Row",

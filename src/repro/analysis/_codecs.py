@@ -1,10 +1,9 @@
-"""Package-private JSON codecs for cached stage artifacts.
+"""Package-private JSON encoders for finalized stage artifacts.
 
 Each ``encode_*`` turns a finalized artifact into plain JSON-able data
-(sorted, canonical) and the matching ``decode_*`` reconstructs an
-equal artifact. Flat row dataclasses encode themselves via ``asdict``
-inside their stage; this module only holds the artifacts with enum
-keys, frozensets, or Counters.
+(sorted, canonical) for ``repro analyze --json``. Flat row dataclasses
+encode themselves via ``asdict`` inside their stage; this module only
+holds the artifacts with enum keys, frozensets, or Counters.
 
 This module is private to :mod:`repro.analysis` — import the stage
 classes from the package instead. The API-PRIVATE staticlint rule
@@ -13,21 +12,14 @@ flags imports of it from outside the package.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.analysis.ads import AdDeliveryStats
 from repro.analysis.drift import InitiatorDrift
 from repro.analysis.figure3 import Figure3Series
 from repro.analysis.table5 import Table5, Table5Cell
-from repro.content.items import ReceivedClass, SentItem
 
 
 def _encode_cell(cell: Table5Cell) -> list:
     return [cell.count, cell.percent]
-
-
-def _decode_cell(payload: list) -> Table5Cell:
-    return Table5Cell(count=payload[0], percent=payload[1])
 
 
 def _encode_cells(cells: dict) -> dict:
@@ -53,40 +45,9 @@ def encode_table5(table: Table5) -> dict:
     }
 
 
-def decode_table5(payload: dict) -> Table5:
-    return Table5(
-        ws_total=payload["ws_total"],
-        http_total=payload["http_total"],
-        sent_ws={
-            SentItem(key): _decode_cell(cell)
-            for key, cell in payload["sent_ws"].items()
-        },
-        sent_http={
-            SentItem(key): _decode_cell(cell)
-            for key, cell in payload["sent_http"].items()
-        },
-        received_ws={
-            ReceivedClass(key): _decode_cell(cell)
-            for key, cell in payload["received_ws"].items()
-        },
-        received_http={
-            ReceivedClass(key): _decode_cell(cell)
-            for key, cell in payload["received_http"].items()
-        },
-        ws_sent_nothing=_decode_cell(payload["ws_sent_nothing"]),
-        ws_received_nothing=_decode_cell(payload["ws_received_nothing"]),
-        fingerprinting_sockets=payload["fingerprinting_sockets"],
-        fingerprinting_pairs=payload["fingerprinting_pairs"],
-        fingerprinting_top_receiver=payload["fingerprinting_top_receiver"],
-        fingerprinting_top_receiver_share=
-            payload["fingerprinting_top_receiver_share"],
-        dom_receivers=tuple(payload["dom_receivers"]),
-    )
-
-
 def encode_figure3(series: Figure3Series) -> dict:
-    # float("inf") survives the round-trip: json emits Infinity and
-    # parses it back (allow_nan is the default on both sides).
+    # A ratio with no non-A&A share is float("inf"); json emits
+    # Infinity (allow_nan is the default).
     return {
         "bins": list(series.bins),
         "aa_fraction": list(series.aa_fraction),
@@ -95,17 +56,6 @@ def encode_figure3(series: Figure3Series) -> dict:
         "overall_ratio": series.overall_ratio,
         "top10k_ratio": series.top10k_ratio,
     }
-
-
-def decode_figure3(payload: dict) -> Figure3Series:
-    return Figure3Series(
-        bins=tuple(payload["bins"]),
-        aa_fraction=tuple(payload["aa_fraction"]),
-        non_aa_fraction=tuple(payload["non_aa_fraction"]),
-        publishers_per_bin=tuple(payload["publishers_per_bin"]),
-        overall_ratio=payload["overall_ratio"],
-        top10k_ratio=payload["top10k_ratio"],
-    )
 
 
 def encode_drift(drift: InitiatorDrift) -> dict:
@@ -124,24 +74,6 @@ def encode_drift(drift: InitiatorDrift) -> dict:
     }
 
 
-def decode_drift(payload: dict) -> InitiatorDrift:
-    return InitiatorDrift(
-        per_crawl={
-            int(crawl): frozenset(domains)
-            for crawl, domains in payload["per_crawl"].items()
-        },
-        persistent=frozenset(payload["persistent"]),
-        disappeared_after_patch=frozenset(
-            payload["disappeared_after_patch"]
-        ),
-        appeared_after_patch=frozenset(payload["appeared_after_patch"]),
-        churn={
-            (a, b): (gained, lost)
-            for a, b, gained, lost in payload["churn"]
-        },
-    )
-
-
 def encode_ads(stats: AdDeliveryStats) -> dict:
     return {
         "sockets_with_ads": stats.sockets_with_ads,
@@ -158,13 +90,3 @@ def encode_ads(stats: AdDeliveryStats) -> dict:
         "sample_captions": list(stats.sample_captions),
     }
 
-
-def decode_ads(payload: dict) -> AdDeliveryStats:
-    return AdDeliveryStats(
-        sockets_with_ads=payload["sockets_with_ads"],
-        total_units=payload["total_units"],
-        receivers=Counter(payload["receivers"]),
-        creative_hosts=Counter(payload["creative_hosts"]),
-        unlisted_creative_units=payload["unlisted_creative_units"],
-        sample_captions=list(payload["sample_captions"]),
-    )

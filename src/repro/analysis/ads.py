@@ -135,11 +135,6 @@ class AdsStage(AnalysisStage):
 
         return encode_ads(artifact)
 
-    def decode_artifact(self, payload: dict) -> AdDeliveryStats:
-        from repro.analysis._codecs import decode_ads
-
-        return decode_ads(payload)
-
 
 def compute_ad_delivery(
     views: Iterable[SocketView],

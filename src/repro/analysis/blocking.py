@@ -153,9 +153,6 @@ class BlockingStage(AnalysisStage):
     def encode_artifact(self, artifact: BlockingStats) -> dict:
         return dataclasses.asdict(artifact)
 
-    def decode_artifact(self, payload: dict) -> BlockingStats:
-        return BlockingStats(**payload)
-
 
 def compute_blocking_stats(
     dataset: StudyDataset,

@@ -1,22 +1,23 @@
-"""Content-addressed cache for stage artifacts and per-slice state.
+"""Content-addressed cache for per-slice analysis state.
 
-Every artifact entry is addressed by a SHA-256 over
+Every entry is one stage's folded accumulator for one dataset slice,
+addressed by a SHA-256 over
 
-* the dataset fingerprint (hash of the canonical dataset byte stream —
-  see :func:`repro.crawler.persistence.dataset_fingerprint`),
-* the stage name and its code ``version``, and
-* the stage's configuration token,
+* the slice's line hash (a spool-imported record range, or the whole
+  record region, whose hash is the dataset fingerprint — see
+  :func:`repro.crawler.persistence.dataset_fingerprint`),
+* the labeling environment (:func:`labeler_fingerprint`), and
+* the stage name, its code ``version`` and its configuration token,
 
-so editing the dataset, bumping a stage's version, or changing its
-configuration each mint a fresh key and force a recompute, while an
-unchanged ``repro analyze`` run is a pure cache hit. Entries are one
-small JSON file each under the cache root (``results/cache/`` by
-default), named ``<stage>-<key prefix>.json`` so the directory stays
-human-scannable. The same :class:`StageCache` also holds incremental
-analysis state (``kind="state"``): one stage's folded accumulator for
-one dataset slice, addressed by :func:`state_key` over the slice's
-line hash and the labeling environment instead of the dataset
-fingerprint.
+so editing the dataset, relabeling it, bumping a stage's version, or
+changing its configuration each mint a fresh key and force a refold,
+while an unchanged ``repro analyze`` run restores every state and
+folds nothing. Finalized artifacts are never cached: ``finalize``
+reads the run's filter engine (the §4.2 blocking analysis scores
+chains against the lists), which no key covers, so every run
+finalizes against its own lists. Entries are one small JSON file each
+under the cache root (``results/cache/`` by default), named
+``<stage>-<key prefix>.json`` so the directory stays human-scannable.
 """
 
 from __future__ import annotations
@@ -37,41 +38,20 @@ CACHE_FORMAT_VERSION = 1
 DEFAULT_CACHE_DIR = Path("results/cache")
 
 
-def stage_key(fingerprint: str, stage: AnalysisStage) -> str:
-    """The content address of one stage's artifact for one dataset."""
-    material = "\n".join((
-        f"cache-format={CACHE_FORMAT_VERSION}",
-        f"dataset={fingerprint}",
-        f"stage={stage.name}",
-        f"version={stage.version}",
-        f"config={stage.config_token()}",
-    ))
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-
 class StageCache:
-    """Load/store stage payloads by content address.
+    """Load/store per-slice stage state by :func:`state_key`.
 
-    ``kind="artifact"`` (the default) holds finalized artifacts under
-    :func:`stage_key`; ``kind="state"`` holds per-slice *accumulator*
-    state (:meth:`AnalysisStage.encode_state`) under :func:`state_key`
-    — the unit incremental analysis merges — in ``state-``-prefixed
-    files, so both kinds can share one directory.
+    A payload is one stage's :meth:`AnalysisStage.encode_state` for
+    one slice — the unit the engine merges.
     """
 
-    def __init__(
-        self, root: str | Path = DEFAULT_CACHE_DIR, kind: str = "artifact"
-    ) -> None:
-        if kind not in ("artifact", "state"):
-            raise ValueError(f"unknown stage cache kind {kind!r}")
+    def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
         self.root = Path(root)
-        self.kind = kind
         self.hits = 0
         self.misses = 0
 
     def _path(self, stage_name: str, key: str) -> Path:
-        prefix = "state-" if self.kind == "state" else ""
-        return self.root / f"{prefix}{stage_name}-{key[:16]}.json"
+        return self.root / f"{stage_name}-{key[:16]}.json"
 
     def load(self, stage_name: str, key: str) -> Any | None:
         """The encoded payload under ``key``, or ``None`` on a miss.
@@ -94,7 +74,7 @@ class StageCache:
             self.misses += 1
             return None
         self.hits += 1
-        return payload[self.kind]
+        return payload["state"]
 
     def store(self, stage: AnalysisStage, key: str, encoded: Any) -> Path:
         """Persist one stage's encoded payload; returns its path."""
@@ -105,7 +85,7 @@ class StageCache:
             "stage": stage.name,
             "version": stage.version,
             "config": stage.config_token(),
-            self.kind: encoded,
+            "state": encoded,
         }
         atomic_write(
             path,
@@ -113,9 +93,6 @@ class StageCache:
             + "\n",
         )
         return path
-
-
-# -- per-slice state keys (incremental analysis) ---------------------------
 
 
 def labeler_fingerprint(

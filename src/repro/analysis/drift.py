@@ -114,11 +114,6 @@ class DriftStage(AnalysisStage):
 
         return encode_drift(artifact)
 
-    def decode_artifact(self, payload: dict) -> InitiatorDrift:
-        from repro.analysis._codecs import decode_drift
-
-        return decode_drift(payload)
-
 
 def compute_initiator_drift(
     views: Iterable[SocketView],

@@ -2,16 +2,10 @@
 
 One O(views) sweep: each socket record is classified once
 (:func:`~repro.analysis.classify.classify_one`) and the resulting view
-is folded into every pending stage accumulator, replacing the
-per-table full-list rescans of the materialized path. Memory stays
-bounded by the accumulators (domain sets and integer counters), not
-the record count — a dataset file is streamed from disk and never
-materialized.
-
-With a :class:`~repro.analysis.cache.StageCache`, stages whose content
-address (dataset fingerprint × stage version × config) already has an
-entry are decoded from the cache and skipped by the sweep; when every
-stage hits, the sweep is skipped entirely and re-analysis is O(cache).
+is folded into every stage accumulator, replacing the per-table
+full-list rescans of the materialized path. Memory stays bounded by
+the accumulators (domain sets and integer counters), not the record
+count — a dataset file is streamed from disk and never materialized.
 
 Shard-parallel folding uses the same stages: :func:`fold_shard` builds
 shard-local partials and :func:`merge_stage_lists` folds them together
@@ -21,11 +15,13 @@ without a barrier, byte-identical to a sequential fold.
 *time* axis: a dataset grown by ``repro spool import`` is described as
 an ordered list of :class:`~repro.crawler.persistence.SegmentSlice`\\ s
 (record ranges content-addressed by the hash of their canonical lines),
-each slice's per-stage folded state is cached in a ``kind="state"``
+each slice's per-stage folded state is cached in a
 :class:`~repro.analysis.cache.StageCache`, and re-analysis after new
 imports folds only the new slices — the old ones restore from cache
 without their records ever being re-read. A run without slices treats
-the whole record region as one slice.
+the whole record region as one slice, addressed by the dataset
+fingerprint, so re-analyzing an unchanged dataset folds nothing. Every
+run finalizes the merged states against its own filter engine.
 """
 
 from __future__ import annotations
@@ -35,12 +31,7 @@ from dataclasses import dataclass, field
 from itertools import groupby, islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from repro.analysis.cache import (
-    StageCache,
-    labeler_fingerprint,
-    stage_key,
-    state_key,
-)
+from repro.analysis.cache import StageCache, labeler_fingerprint, state_key
 from repro.analysis.classify import SocketView, classify_one
 from repro.analysis.stage import (
     AnalysisStage,
@@ -48,7 +39,7 @@ from repro.analysis.stage import (
     default_stages,
 )
 from repro.crawler.dataset import DatasetMeta, SocketRecord, StudyDataset
-from repro.crawler.persistence import SegmentSlice
+from repro.crawler.persistence import DatasetReader, SegmentSlice
 from repro.labeling.aa_labeler import AaLabeler
 from repro.labeling.resolver import DomainResolver
 
@@ -108,9 +99,11 @@ class DatasetSource:
         cls, path, engine=None
     ) -> "DatasetSource":
         """Stream a saved v2 dataset file (``repro study --dataset-out``)."""
-        from repro.crawler.persistence import open_dataset
+        return cls.from_reader(DatasetReader(path, engine=engine))
 
-        reader = open_dataset(path, engine=engine)
+    @classmethod
+    def from_reader(cls, reader: DatasetReader) -> "DatasetSource":
+        """Stream the dataset file an open reader has parsed."""
         return cls(
             dataset=reader.dataset,
             meta=reader.meta,
@@ -128,14 +121,15 @@ class AnalysisResult:
         labeler / resolver: The derived A&A labels and Cloudfront
             mapping.
         artifacts: Stage name → finalized artifact.
-        computed: Stage names recomputed by this run's sweep.
-        cached: Stage names served from the cache.
+        computed: Stage names this run's sweep folded at least one
+            slice for.
+        cached: Stage names whose every slice state was restored from
+            the cache.
         views_folded: Socket views classified by the sweep (0 when
-            every stage hit the cache).
+            every state was restored).
         segments_folded: Dataset slices whose records the sweep read
             (a run without ``slices`` has one).
-        segments_cached: Dataset slices fully restored from the state
-            cache.
+        segments_cached: Dataset slices fully restored from the cache.
     """
 
     meta: DatasetMeta
@@ -177,23 +171,23 @@ class AnalysisEngine:
         self,
         source: DatasetSource,
         slices: Sequence[SegmentSlice] = (),
-        state_cache: StageCache | None = None,
     ) -> AnalysisResult:
-        """Classify once, fold every pending stage, finalize, cache.
+        """Classify once, fold every stage, finalize.
 
         ``slices`` must tile the record region in record order, without
         gaps or overlaps — the spool import journal provides exactly
         that (the CLI gap-fills synthetic base slices for records
         predating the journal); without them the whole region is one
-        slice. Each slice folds into its own partials, which merge in
-        slice order and finalize — the same associative algebra
-        :func:`fold_shard`/:func:`merge_stage_lists` use for shard
-        parallelism, so the artifacts never depend on the tiling. A
-        ``state_cache`` (a ``kind="state"`` :class:`StageCache`)
-        restores every cached (slice, stage) state instead of folding
-        it and stores the ones it folds, so a slice's records are read
-        only when one of its states misses. Contiguous slices to fold
-        share one ranged read.
+        slice, addressed by the dataset fingerprint. Each slice folds
+        into its own partials, which merge in slice order and finalize
+        — the same associative algebra :func:`fold_shard`/
+        :func:`merge_stage_lists` use for shard parallelism, so the
+        artifacts never depend on the tiling. With a cache, every
+        cached (slice, stage) state is restored instead of folded and
+        the folded ones are stored, so a slice's records are read only
+        when one of its states misses. Contiguous slices to fold share
+        one ranged read. ``finalize`` always runs, against the source's
+        filter engine: no cached value depends on the filter lists.
         """
         with self._span("labeling"):
             labeler = source.dataset.derive_labeler()
@@ -206,28 +200,11 @@ class AnalysisEngine:
             dataset=source.dataset,
         )
 
-        artifacts: dict[str, Any] = {}
-        cached: list[str] = []
-        keys: dict[str, str] = {}
-        pending = list(self.stages)
-        if self.cache is not None:
-            fingerprint = source.fingerprint()
-            pending = []
-            for stage in self.stages:
-                key = stage_key(fingerprint, stage)
-                keys[stage.name] = key
-                payload = self.cache.load(stage.name, key)
-                if payload is not None:
-                    artifacts[stage.name] = stage.decode_artifact(payload)
-                    cached.append(stage.name)
-                else:
-                    pending.append(stage)
-
+        cache = self.cache
         if not slices:
-            # The dataset fingerprint addresses the whole record region.
             slices = (SegmentSlice(
                 "", 0, None,
-                source.fingerprint() if state_cache is not None else "",
+                source.fingerprint() if cache is not None else "",
             ),)
         if [entry.start for entry in slices] != [
             0, *(entry.stop for entry in slices[:-1])
@@ -235,111 +212,102 @@ class AnalysisEngine:
             raise ValueError("slices must tile the record region in order")
 
         # Per slice: its spawned partials, and the (stage, partial,
-        # state key) triples the sweep must fold — the state-cache misses.
+        # state key) triples the sweep must fold — the cache misses.
+        labeler_fp = (
+            labeler_fingerprint(labeler, resolver)
+            if cache is not None else ""
+        )
         plan: list[tuple[
             SegmentSlice,
             list[AnalysisStage],
             list[tuple[AnalysisStage, AnalysisStage, str]],
         ]] = []
-        views_folded = segments_folded = 0
-        if pending:
-            labeler_fp = (
-                labeler_fingerprint(labeler, resolver)
-                if state_cache is not None else ""
-            )
-            for entry in slices:
-                partials = [stage.spawn() for stage in pending]
-                missing = []
-                for stage, partial in zip(pending, partials):
-                    key = state_key(entry.lines_sha, labeler_fp, stage)
-                    payload = (
-                        state_cache.load(stage.name, key)
-                        if state_cache is not None else None
-                    )
-                    if payload is not None:
-                        partial.restore_state(payload)
-                    else:
-                        missing.append((stage, partial, key))
-                plan.append((entry, partials, missing))
-
-            counts = dict.fromkeys(
-                ("views", "aa_sockets", "aa_initiated", "aa_received"), 0
-            )
-            for read, group in groupby(plan, key=lambda step: bool(step[2])):
-                if not read:
-                    continue
-                run = list(group)
-                segments_folded += len(run)
-                with self._span("classify"):
-                    records = iter(source.records(
-                        run[0][0].start, run[-1][0].stop
-                    ))
-                    for entry, _, missing in run:
-                        targets = [partial for _, partial, _ in missing]
-                        size = (
-                            None if entry.stop is None
-                            else entry.stop - entry.start
-                        )
-                        for record in islice(records, size):
-                            view = classify_one(record, labeler, resolver)
-                            counts["views"] += 1
-                            if view.is_aa_socket:
-                                counts["aa_sockets"] += 1
-                            if view.aa_initiated:
-                                counts["aa_initiated"] += 1
-                            if view.aa_received:
-                                counts["aa_received"] += 1
-                            for partial in targets:
-                                partial.fold(view)
-                if state_cache is not None:
-                    for _, _, missing in run:
-                        for stage, partial, key in missing:
-                            state_cache.store(
-                                stage, key, partial.encode_state()
-                            )
-            views_folded = counts["views"]
-            if self.obs is not None:
-                metrics = self.obs.metrics
-                for name in (
-                    "views", "aa_sockets", "aa_initiated", "aa_received"
-                ):
-                    metrics.counter(f"analysis.{name}").add(counts[name])
-        if self.obs is not None:
-            self.obs.metrics.counter("analysis.aa_domains_labeled").add(
-                len(labeler)
-            )
-
-        merged = merge_stage_lists([partials for _, partials, _ in plan])
-        for stage in merged:
-            with self._span(stage.name):
-                artifact = stage.finalize(ctx)
-            artifacts[stage.name] = artifact
-            if self.cache is not None:
-                self.cache.store(
-                    stage, keys[stage.name], stage.encode_artifact(artifact)
+        for entry in slices:
+            partials = [stage.spawn() for stage in self.stages]
+            missing = []
+            for stage, partial in zip(self.stages, partials):
+                key = state_key(entry.lines_sha, labeler_fp, stage)
+                payload = (
+                    cache.load(stage.name, key)
+                    if cache is not None else None
                 )
+                if payload is not None:
+                    partial.restore_state(payload)
+                else:
+                    missing.append((stage, partial, key))
+            plan.append((entry, partials, missing))
 
+        counts = dict.fromkeys(
+            ("views", "aa_sockets", "aa_initiated", "aa_received"), 0
+        )
+        segments_folded = 0
+        for read, group in groupby(plan, key=lambda step: bool(step[2])):
+            if not read:
+                continue
+            run = list(group)
+            segments_folded += len(run)
+            with self._span("classify"):
+                records = iter(source.records(
+                    run[0][0].start, run[-1][0].stop
+                ))
+                for entry, _, missing in run:
+                    targets = [partial for _, partial, _ in missing]
+                    size = (
+                        None if entry.stop is None
+                        else entry.stop - entry.start
+                    )
+                    for record in islice(records, size):
+                        view = classify_one(record, labeler, resolver)
+                        counts["views"] += 1
+                        if view.is_aa_socket:
+                            counts["aa_sockets"] += 1
+                        if view.aa_initiated:
+                            counts["aa_initiated"] += 1
+                        if view.aa_received:
+                            counts["aa_received"] += 1
+                        for partial in targets:
+                            partial.fold(view)
+            if cache is not None:
+                for _, _, missing in run:
+                    for stage, partial, key in missing:
+                        cache.store(stage, key, partial.encode_state())
         if self.obs is not None:
             metrics = self.obs.metrics
-            if self.cache is not None:
-                metrics.counter("analysis.cache.hits").add(len(cached))
-                metrics.counter("analysis.cache.misses").add(len(pending))
-            if state_cache is not None:
-                metrics.counter("analysis.incremental.slices_folded").add(
-                    segments_folded
-                )
-                metrics.counter("analysis.incremental.slices_cached").add(
-                    len(plan) - segments_folded
-                )
+            for name in (
+                "views", "aa_sockets", "aa_initiated", "aa_received"
+            ):
+                metrics.counter(f"analysis.{name}").add(counts[name])
+            metrics.counter("analysis.aa_domains_labeled").add(len(labeler))
+
+        artifacts: dict[str, Any] = {}
+        for stage in merge_stage_lists([partials for _, partials, _ in plan]):
+            with self._span(stage.name):
+                artifacts[stage.name] = stage.finalize(ctx)
+
+        folded = {
+            stage.name for _, _, missing in plan for stage, _, _ in missing
+        }
+        computed = tuple(s.name for s in self.stages if s.name in folded)
+        cached = tuple(s.name for s in self.stages if s.name not in folded)
+        if self.obs is not None and cache is not None:
+            metrics = self.obs.metrics
+            metrics.counter("analysis.cache.hits").add(len(cached))
+            metrics.counter("analysis.cache.misses").add(len(computed))
+            metrics.counter("analysis.incremental.slices_folded").add(
+                segments_folded
+            )
+            metrics.counter("analysis.incremental.slices_cached").add(
+                len(plan) - segments_folded
+            )
 
         return AnalysisResult(
             meta=source.meta,
             labeler=labeler,
             resolver=resolver,
             artifacts=artifacts,
-            computed=tuple(stage.name for stage in pending),
-            cached=tuple(cached),
-            views_folded=views_folded,
+            computed=computed,
+            cached=cached,
+            views_folded=counts["views"],
             segments_folded=segments_folded,
             segments_cached=len(plan) - segments_folded,
         )

@@ -136,11 +136,6 @@ class Figure3Stage(AnalysisStage):
 
         return encode_figure3(artifact)
 
-    def decode_artifact(self, payload: dict) -> Figure3Series:
-        from repro.analysis._codecs import decode_figure3
-
-        return decode_figure3(payload)
-
 
 def compute_figure3(
     views: Iterable[SocketView],

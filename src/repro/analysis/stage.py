@@ -16,11 +16,12 @@ that
   that is *not* part of the view stream (dataset metadata, the derived
   A&A labeler, the filter engine, the dataset's aggregate counters).
 
-Stages carry a ``name`` and ``version``; together with the dataset
-fingerprint and the stage configuration they form the content address
-under which :mod:`repro.analysis.cache` stores finalized artifacts.
-Bump ``version`` whenever a stage's output could change for the same
-input — that is what invalidates stale cache entries.
+Stages carry a ``name`` and ``version``; together with a dataset
+slice's line hash, the labeling environment and the stage
+configuration they form the content address under which
+:mod:`repro.analysis.cache` stores per-slice fold states. Bump
+``version`` whenever a stage's fold could change for the same input —
+that is what invalidates stale cache entries.
 
 The registry maps stage names to classes; modules register their stage
 with the :func:`register_stage` decorator and
@@ -71,8 +72,8 @@ class AnalysisStage:
 
     Subclasses set the ``name``/``version`` class attributes, register
     themselves with :func:`register_stage`, and implement the
-    fold/merge/finalize triple plus the artifact cache codec. The
-    contract the property tests pin:
+    fold/merge/finalize triple plus ``encode_artifact``. The contract
+    the property tests pin:
 
     * ``fold`` must be order-insensitive up to ``finalize`` — folding
       a permutation of the same views yields an equal artifact;
@@ -115,22 +116,18 @@ class AnalysisStage:
         return ""
 
     def encode_artifact(self, artifact: Any) -> Any:
-        """Encode a finalized artifact as JSON-able data (for caching)."""
-        raise NotImplementedError
-
-    def decode_artifact(self, payload: Any) -> Any:
-        """Reconstruct an artifact from :meth:`encode_artifact` output."""
+        """Encode a finalized artifact as JSON-able data (``--json``)."""
         raise NotImplementedError
 
     def encode_state(self) -> Any:
         """Encode the *accumulator* state as canonical JSON-able data.
 
-        Used by the incremental engine to cache per-slice partial
-        folds. The default covers every built-in stage: accumulator
-        state lives in underscore-prefixed instance attributes
-        (configuration in public ones), encoded with the type-tagged
-        codec in :mod:`repro.analysis.state`. Stages holding state the
-        codec cannot express override the pair.
+        Used by the engine to cache per-slice partial folds. The
+        default covers every built-in stage: accumulator state lives
+        in underscore-prefixed instance attributes (configuration in
+        public ones), encoded with the type-tagged codec in
+        :mod:`repro.analysis.state`. Stages holding state the codec
+        cannot express override the pair.
         """
         from repro.analysis.state import encode_value
 

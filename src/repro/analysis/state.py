@@ -1,10 +1,9 @@
 """Type-tagged JSON codec for stage accumulator *state*.
 
-The artifact cache stores what a stage :meth:`finalize`\\ s; given a
-state cache, :meth:`AnalysisEngine.run` additionally caches what a
-stage *accumulates* per dataset slice — domain sets, Counters keyed by
+Given a stage cache, :meth:`AnalysisEngine.run` caches what a stage
+*accumulates* per dataset slice — domain sets, Counters keyed by
 tuples or enums, nested dicts — so a slice folded once never has its
-records re-read.
+records re-read; what a stage :meth:`finalize`\\ s is never cached.
 
 Accumulator state is richer than JSON: sets, ``Counter``\\ s, tuple and
 enum keys. Each non-JSON value is wrapped in a single-key tag object

@@ -169,9 +169,6 @@ class OverallStage(AnalysisStage):
     def encode_artifact(self, artifact: OverallStats) -> dict:
         return dataclasses.asdict(artifact)
 
-    def decode_artifact(self, payload: dict) -> OverallStats:
-        return OverallStats(**payload)
-
 
 def compute_overall_stats(views: Iterable[SocketView]) -> OverallStats:
     """Compute the merged-dataset § 4.1 statistics."""

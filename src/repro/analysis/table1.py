@@ -130,9 +130,6 @@ class Table1Stage(AnalysisStage):
     def encode_artifact(self, artifact: list[Table1Row]) -> list[dict]:
         return [dataclasses.asdict(row) for row in artifact]
 
-    def decode_artifact(self, payload: list[dict]) -> list[Table1Row]:
-        return [Table1Row(**row) for row in payload]
-
 
 def compute_table1(
     views: Iterable[SocketView],

@@ -112,9 +112,6 @@ class Table2Stage(AnalysisStage):
     def encode_artifact(self, artifact: list[Table2Row]) -> list[dict]:
         return [dataclasses.asdict(row) for row in artifact]
 
-    def decode_artifact(self, payload: list[dict]) -> list[Table2Row]:
-        return [Table2Row(**row) for row in payload]
-
 
 def compute_table2(
     views: Iterable[SocketView],

@@ -93,9 +93,6 @@ class Table3Stage(AnalysisStage):
     def encode_artifact(self, artifact: list[Table3Row]) -> list[dict]:
         return [dataclasses.asdict(row) for row in artifact]
 
-    def decode_artifact(self, payload: list[dict]) -> list[Table3Row]:
-        return [Table3Row(**row) for row in payload]
-
 
 def compute_table3(
     views: Iterable[SocketView], top: int = 15

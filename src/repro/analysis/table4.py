@@ -109,12 +109,6 @@ class Table4Stage(AnalysisStage):
             "self_pair_sockets": artifact.self_pair_sockets,
         }
 
-    def decode_artifact(self, payload: dict) -> Table4:
-        return Table4(
-            rows=tuple(Table4Row(**row) for row in payload["rows"]),
-            self_pair_sockets=payload["self_pair_sockets"],
-        )
-
 
 def compute_table4(views: Iterable[SocketView], top: int = 15) -> Table4:
     """Aggregate A&A sockets per (initiator, receiver) pair."""

@@ -190,11 +190,6 @@ class Table5Stage(AnalysisStage):
 
         return encode_table5(artifact)
 
-    def decode_artifact(self, payload: dict) -> Table5:
-        from repro.analysis._codecs import decode_table5
-
-        return decode_table5(payload)
-
 
 def compute_table5(
     dataset: StudyDataset,

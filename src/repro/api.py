@@ -19,13 +19,12 @@ Grouped exports:
 * **Analysis** — the streaming stage engine, whose one ``run`` also
   re-analyzes a grown dataset slice by slice, and the per-artifact
   entry points (``AnalysisEngine``, ``DatasetSource``, ``SegmentSlice``,
-  ``StageCache`` for artifacts and per-slice state, ``compute_table1``
-  …).
+  ``StageCache`` for per-slice fold states, ``compute_table1`` …).
 * **Labeling** — the paper's ``a(d) ≥ 0.1·n(d)`` derivation
   (``AaLabeler``, ``DomainTagCounter``).
 * **Serve** — the versioned query service (``SERVE_VERSION`` wire
-  types, ``ServeSnapshot`` builders, ``ServeService``, the script and
-  HTTP frontends).
+  types, ``ServeSnapshot`` and its scale builder, ``ServeService``, the
+  script and HTTP frontends).
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ from repro.serve import (
     SnapshotInfo,
     SnapshotRequest,
     SwapError,
-    build_dataset_snapshot,
     build_scale_snapshot,
     decode_request,
     encode_request,
@@ -161,7 +159,6 @@ __all__ = [
     "ServeService",
     "SwapError",
     "build_scale_snapshot",
-    "build_dataset_snapshot",
     "snapshot_fingerprint",
     "decode_request",
     "encode_request",

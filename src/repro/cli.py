@@ -10,11 +10,11 @@ Commands:
   crash-safe, quota-bounded via ``--spool-quota``, and refused with
   exit 2 when another study wrote the spool).
 * ``analyze`` — re-analyze a dataset saved by ``study --dataset-out``
-  in one streaming pass, serving unchanged stages from the
-  content-addressed artifact cache (``--no-cache`` bypasses it);
-  ``--incremental <spool-dir>`` folds only dataset slices whose
-  per-stage state is not already cached, using the spool's import
-  journal.
+  in one streaming pass, restoring per-stage fold states from the
+  content-addressed cache (``--no-cache`` bypasses it) and finalizing
+  against the current filter lists; ``--incremental <spool-dir>``
+  splits the dataset into the slices of the spool's import journal,
+  so only slices whose state is not already cached are folded.
 * ``spool``   — the write-ahead spool: ``spool status <dir>`` prints
   segments, bytes, and import state; ``spool import <dir> <dataset>``
   drains sealed segments into the dataset (idempotent — re-running
@@ -70,7 +70,12 @@ from repro.analysis import report as report_mod
 from repro.browser import Browser
 from repro.cdp import EventBus, SessionRecorder
 from repro.cdp.har import events_to_har
-from repro.crawler.persistence import DatasetError, save_dataset
+from repro.crawler.persistence import (
+    DatasetError,
+    DatasetReader,
+    open_dataset,
+    save_dataset,
+)
 from repro.experiments import (
     DEFAULT_CONFIG,
     FULL_CONFIG,
@@ -219,8 +224,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return _study_exit_code(result.summaries)
 
 
-def _spool_slices(spool_dir: str, dataset: str):
-    """Slices covering the dataset, from the spool's import journal.
+def _spool_slices(spool_dir: str, reader: DatasetReader):
+    """Slices covering ``reader``'s dataset, from the spool's import journal.
 
     Journal slices cover the spool-imported record ranges; any gaps
     (records predating the journal, e.g. a ``--dataset-out`` file the
@@ -231,11 +236,9 @@ def _spool_slices(spool_dir: str, dataset: str):
     from pathlib import Path
 
     from repro.analysis import SegmentSlice
-    from repro.crawler.persistence import open_dataset
     from repro.spool import ImportState
 
-    state = ImportState.load(Path(spool_dir), Path(dataset))
-    reader = open_dataset(dataset)
+    state = ImportState.load(Path(spool_dir), reader.path)
     slices = []
     cursor = 0
     for entry in state.slices:
@@ -270,24 +273,24 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.util.serialization import dumps
 
     try:
-        source = DatasetSource.from_file(args.dataset)
+        reader = open_dataset(args.dataset)
     except DatasetError as error:
         print(f"cannot read dataset {args.dataset!r}: {error}",
               file=sys.stderr)
         return 2
-    cache = None if args.no_cache else StageCache(args.cache_dir)
-    engine = AnalysisEngine(stages=default_stages(), cache=cache)
-    slices, state_cache = (), None
+    slices = ()
     if args.incremental:
         try:
-            slices = _spool_slices(args.incremental, args.dataset)
+            slices = _spool_slices(args.incremental, reader)
         except (OSError, ValueError, KeyError) as error:
             print(f"cannot build slices from spool "
                   f"{args.incremental!r}: {error}", file=sys.stderr)
             return 2
-        state_cache = StageCache(args.cache_dir, kind="state")
-    result = engine.run(source, slices=slices, state_cache=state_cache)
-    if state_cache is not None and not args.quiet:
+    source = DatasetSource.from_reader(reader)
+    cache = None if args.no_cache else StageCache(args.cache_dir)
+    engine = AnalysisEngine(stages=default_stages(), cache=cache)
+    result = engine.run(source, slices=slices)
+    if args.incremental and not args.quiet:
         print(
             f"segment folds: {result.segments_cached} cached, "
             f"{result.segments_folded} folded",
@@ -318,8 +321,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(output)
     if cache is not None and not args.quiet:
         print(
-            f"analysis cache: {cache.hits} hit(s), "
-            f"{cache.misses} recomputed",
+            f"analysis cache: {len(result.cached)} hit(s), "
+            f"{len(result.computed)} recomputed",
             file=sys.stderr,
         )
     return 0
@@ -790,17 +793,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the stage artifacts as JSON instead "
                               "of the text report")
     analyze.add_argument("--no-cache", action="store_true", dest="no_cache",
-                         help="recompute every stage, bypassing the "
-                              "artifact cache")
+                         help="fold every record, bypassing the "
+                              "stage state cache")
     analyze.add_argument("--cache-dir", default="results/cache",
                          dest="cache_dir",
-                         help="stage artifact cache directory "
+                         help="stage state cache directory "
                               "(default: results/cache)")
     analyze.add_argument("--incremental", default="", metavar="SPOOL_DIR",
                          help="fold incrementally using SPOOL_DIR's "
                               "import journal: slices already analyzed "
-                              "restore from the state cache, only new "
-                              "ones re-read records")
+                              "restore from the cache, only new ones "
+                              "re-read records")
     analyze.set_defaults(func=_cmd_analyze)
 
     spool = sub.add_parser(
@@ -917,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="query the compiled engine + artifact cache as a service",
+        help="query a compiled-engine snapshot as a service",
     )
     serve_sub = serve.add_subparsers(dest="serve_command", required=True)
 

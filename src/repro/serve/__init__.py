@@ -2,7 +2,7 @@
 
 One immutable :class:`~repro.serve.snapshot.ServeSnapshot` (compiled
 filter engines per study phase, WRB pre/post-58 policy, A&A labeling
-state, cached table/figure artifacts) is shared by N workers through a
+state, table/figure artifacts) is shared by N workers through a
 :class:`~repro.serve.service.ServeService` and answered over the
 versioned wire types of :mod:`repro.serve.types` (``SERVE_VERSION``).
 Snapshots hot-swap atomically: new queries lease the new snapshot
@@ -11,15 +11,14 @@ dropped, and every response echoes the fingerprint of the snapshot
 that answered it.
 
 The sanctioned external entry point is :mod:`repro.api`; the SERVE-RO
-flow zone keeps the serving modules (service/types/workers) statically
-read-only over snapshots.
+flow zone keeps the serving modules (service/types/workers), the
+snapshot builders and the HTTP frontend statically read-only.
 """
 
 from repro.serve.httpd import ServeHTTPServer, make_server
 from repro.serve.service import ServeService, SwapError
 from repro.serve.snapshot import (
     ServeSnapshot,
-    build_dataset_snapshot,
     build_scale_snapshot,
     resource_type_for,
     snapshot_fingerprint,
@@ -84,7 +83,6 @@ __all__ = [
     "ServeService",
     "SwapError",
     "build_scale_snapshot",
-    "build_dataset_snapshot",
     "snapshot_fingerprint",
     "resource_type_for",
     # Execution frontends.

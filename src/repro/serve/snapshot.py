@@ -2,7 +2,7 @@
 
 A snapshot bundles everything a query needs — the compiled filter
 engine for each study phase's list, the Chrome WRB policy version, the
-derived A&A labeling state with its evidence counts, and the cached
+derived A&A labeling state with its evidence counts, and the
 table/figure artifacts keyed by dataset fingerprint — behind a single
 content-address ``fingerprint``. Workers share one snapshot by
 reference and never mutate it (matching passes ``stats=None``; the
@@ -11,9 +11,8 @@ hot-swapping is a single reference assignment in
 :class:`repro.serve.service.ServeService` plus a drain of in-flight
 leases on the old snapshot.
 
-Builders live here — deliberately *outside* the SERVE-RO zone, because
-building may sweep a dataset through the analysis engine (which can
-write the stage cache). Serving never builds.
+Builders live here too, inside the SERVE-RO zone: building a snapshot
+compiles lists and derives labels in memory and writes nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.analysis import AnalysisEngine, DatasetSource
 from repro.extension import WEBREQUEST_BUG_FIX_VERSION
 from repro.filters import CompiledFilterEngine, filter_lists_digest
 from repro.labeling import AaLabeler, DomainTagCounter
@@ -36,10 +34,7 @@ from repro.web.filterlists import (
 )
 
 if TYPE_CHECKING:
-    from repro.analysis import StageCache
-    from repro.crawler.dataset import StudyDataset
     from repro.filters import FilterList
-    from repro.obs import Obs
 
 #: Corpus size used to derive a deterministic tag corpus for synthetic
 #: scale snapshots (each request's host is tagged by its own verdict).
@@ -215,42 +210,6 @@ def build_scale_snapshot(
         tag_counter=tag_counter,
         artifacts={},
         dataset_fingerprint=f"lists:{scale}:seed={seed}",
-    )
-
-
-def build_dataset_snapshot(
-    dataset: "StudyDataset",
-    lists: "list[FilterList]",
-    *,
-    version: int = 1,
-    cache: "StageCache | None" = None,
-    obs: "Obs | None" = None,
-) -> ServeSnapshot:
-    """A snapshot over a crawled study dataset.
-
-    Labeling state comes from the dataset's tag corpus (the paper's
-    ``a(d) ≥ 0.1·n(d)`` derivation); artifacts come from one analysis
-    sweep, served from ``cache`` where warm. The artifact endpoint
-    then answers table/figure queries by the dataset's fingerprint
-    without re-running analysis.
-    """
-    source = DatasetSource.from_dataset(dataset)
-    analysis = AnalysisEngine(cache=cache, obs=obs)
-    result = analysis.run(source)
-    artifacts = {
-        stage.name: stage.encode_artifact(result.artifacts[stage.name])
-        for stage in analysis.stages
-        if stage.name in result.artifacts
-    }
-    phase_lists = {"study": list(lists)}
-    return _assemble(
-        version=version,
-        phase_lists=phase_lists,
-        engines={"study": CompiledFilterEngine(lists)},
-        labeler=result.labeler,
-        tag_counter=dataset.tag_counter,
-        artifacts=artifacts,
-        dataset_fingerprint=source.fingerprint(),
     )
 
 

@@ -115,14 +115,17 @@ class ImportState:
         or of a dataset regenerated outside the importer. Raises
         :class:`FileNotFoundError` when ``root`` is not a directory, so
         a mistyped spool path fails before anything creates it instead
-        of reading as an empty spool.
+        of reading as an empty spool. Dataset paths are resolved, so a
+        journal names its dataset the same from any working directory
+        (a relative name an older journal recorded resolves against
+        the current one).
         """
         if not Path(root).is_dir():
             raise FileNotFoundError(f"no spool directory at {root}")
         journal_path = Path(root) / JOURNAL_NAME
         state = cls(journal_path=journal_path)
         if dataset_path is not None:
-            state.dataset_path = Path(dataset_path)
+            state.dataset_path = Path(dataset_path).resolve()
         if not journal_path.exists():
             return state
         lines = [
@@ -141,7 +144,7 @@ class ImportState:
                 f"{journal_path} is not a version-{JOURNAL_VERSION} "
                 f"{JOURNAL_KIND} file"
             )
-        recorded = Path(header["dataset"])
+        recorded = Path(header["dataset"]).resolve()
         if state.dataset_path is None:
             state.dataset_path = recorded
         elif state.dataset_path != recorded:

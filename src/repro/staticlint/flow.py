@@ -32,13 +32,13 @@ enforces three *zone contracts* that per-file syntactic linting cannot:
   ``truncate_segment`` in ``repro.spool.segment`` — a recovery pass
   that could write anywhere else might destroy the very evidence
   (a torn tail, a corrupt frame) it exists to adjudicate.
-* ``SERVE-RO`` — **query-serving read-only zone**: answering a
-  `repro serve` query (``repro.serve.service`` / ``types`` /
-  ``workers``) must be statically read-only — N workers share one
+* ``SERVE-RO`` — **query-serving read-only zone**: building a
+  snapshot and answering a `repro serve` query
+  (``repro.serve.service`` / ``types`` / ``workers`` / ``snapshot``
+  / ``httpd``) must be statically read-only — N workers share one
   immutable snapshot, so any write reachable from dispatch is a
-  race or a side channel. Snapshot *builders* (which may warm the
-  stage cache) and transcript writers deliberately live outside the
-  zone; there is no sanctioned write sink inside it.
+  race or a side channel. Only the transcript writer lives outside
+  the zone; there is no sanctioned write sink inside it.
 
 Every interprocedural finding carries the full call chain from the
 zone entry point to the effect's origin, both rendered in the message
@@ -114,10 +114,9 @@ class FlowConfig:
             zone — segment primitives (``truncate_segment``) are the
             only place recovery-driven writes may happen.
         serve_readonly_prefixes: Dotted module prefixes forming the
-            serving read-only zone (no ``fs-write``): answering a
-            query must be statically read-only over the shared
-            snapshot — snapshot *building* (which may warm the stage
-            cache) and transcript writing live outside the zone.
+            serving read-only zone (no ``fs-write``): building a
+            snapshot and answering a query over it must be statically
+            read-only — transcript writing lives outside the zone.
         serve_sink_modules: Sanctioned write boundary for that zone
             — empty by default: serving has no sanctioned writes.
     """
@@ -149,6 +148,7 @@ class FlowConfig:
     )
     serve_readonly_prefixes: tuple[str, ...] = (
         "repro.serve.service", "repro.serve.types", "repro.serve.workers",
+        "repro.serve.snapshot", "repro.serve.httpd",
     )
     serve_sink_modules: frozenset[str] = frozenset()
 
@@ -565,8 +565,8 @@ def analyze_facts(
         graph, effects, config.in_serve_zone,
         frozenset({FS_WRITE}), serve_mask,
         "SERVE-RO", "query serving (read-only over snapshots)",
-        "serving must not write; build snapshots and write transcripts "
-        "outside repro.serve.service/types/workers",
+        "serving must not write; build snapshots in memory and write "
+        "transcripts through repro.serve.transcript, outside the zone",
     ))
     flow_report.extend(_layer_findings(graph, config))
 

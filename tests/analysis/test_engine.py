@@ -30,7 +30,9 @@ from repro.crawler.persistence import (
     open_dataset,
     save_dataset,
 )
+from repro.filters import CompiledFilterEngine
 from repro.util.serialization import dumps
+from repro.web.filterlists import build_filter_lists
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +144,26 @@ class TestCaching:
             DatasetSource.from_file(edited))
         assert result.cached == ()
         assert set(result.computed) == set(STUDY_STAGE_NAMES)
+
+    def test_cache_follows_the_filter_lists(
+        self, dataset_file, registry, tmp_path
+    ):
+        # The blocking stage scores chains against the lists when it
+        # finalizes, so a cache warmed under the bundled lists must
+        # not answer for a run under EasyList alone.
+        easylist = CompiledFilterEngine(build_filter_lists(registry)[:1])
+        cache_dir = tmp_path / "cache"
+        bundled = AnalysisEngine(stages=study_stages(),
+                                 cache=StageCache(cache_dir)).run(
+            DatasetSource.from_file(dataset_file))
+        cached = AnalysisEngine(stages=study_stages(),
+                                cache=StageCache(cache_dir)).run(
+            DatasetSource.from_file(dataset_file, engine=easylist))
+        uncached = AnalysisEngine(stages=study_stages()).run(
+            DatasetSource.from_file(dataset_file, engine=easylist))
+        assert dumps(uncached["blocking"]) != dumps(bundled["blocking"])
+        assert cached.views_folded == 0
+        assert dumps(cached["blocking"]) == dumps(uncached["blocking"])
 
 
 class TestShardMerge:

@@ -1,9 +1,4 @@
-"""``repro analyze --incremental`` end to end, over the session spool.
-
-``--no-cache`` keeps the artifact cache out of the way: with it on, a
-warm run of an unchanged dataset is answered by the artifact cache
-before any slice is looked at, and the state path never runs.
-"""
+"""``repro analyze --incremental`` end to end, over the session spool."""
 
 from __future__ import annotations
 
@@ -25,7 +20,7 @@ def test_incremental_cli_folds_then_restores(spool_copy, tmp_path, capsys):
     plain, _ = _analyze(capsys, str(dataset), "--no-cache")
     argv = (
         str(dataset), "--incremental", str(spool_copy),
-        "--no-cache", "--cache-dir", str(tmp_path / "state-cache"),
+        "--cache-dir", str(tmp_path / "state-cache"),
     )
     cold, cold_err = _analyze(capsys, *argv)
     warm, warm_err = _analyze(capsys, *argv)

@@ -11,7 +11,6 @@ on the labeler fingerprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
@@ -19,6 +18,7 @@ from repro.analysis.cache import StageCache, labeler_fingerprint
 from repro.analysis.engine import AnalysisEngine, DatasetSource
 from repro.analysis.stage import study_stages
 from repro.cli import _spool_slices
+from repro.crawler.persistence import open_dataset
 from repro.spool.importer import import_spool
 from repro.spool.segment import list_segments
 from repro.util.serialization import dumps
@@ -63,12 +63,12 @@ def scenario(spooled, tmp_path_factory) -> Scenario:
         info.path.rename(stash / info.path.name)
 
     import_spool(spool, dataset)
-    state_cache = StageCache(base / "state-cache", kind="state")
-    engine = AnalysisEngine(stages=study_stages())
+    engine = AnalysisEngine(
+        stages=study_stages(), cache=StageCache(base / "state-cache")
+    )
     cold = engine.run(
         DatasetSource.from_file(dataset),
-        slices=_spool_slices(spool, dataset),
-        state_cache=state_cache,
+        slices=_spool_slices(spool, open_dataset(dataset)),
     )
     slices_phase1 = cold.segments_folded + cold.segments_cached
 
@@ -77,13 +77,11 @@ def scenario(spooled, tmp_path_factory) -> Scenario:
     import_spool(spool, dataset)
     warm = engine.run(
         DatasetSource.from_file(dataset),
-        slices=_spool_slices(spool, dataset),
-        state_cache=state_cache,
+        slices=_spool_slices(spool, open_dataset(dataset)),
     )
     third = engine.run(
         DatasetSource.from_file(dataset),
-        slices=_spool_slices(spool, dataset),
-        state_cache=state_cache,
+        slices=_spool_slices(spool, open_dataset(dataset)),
     )
     full = AnalysisEngine(stages=study_stages()).run(
         DatasetSource.from_file(dataset)
@@ -141,35 +139,3 @@ class TestIncrementalGrowth:
                 getattr(scenario.study, name)
             ), name
 
-
-class TestArtifactCacheShortCircuit:
-    def test_artifact_cache_skips_slices_entirely(
-        self, spooled, tmp_path_factory
-    ):
-        src, _study = spooled
-        base = tmp_path_factory.mktemp("short-circuit")
-        spool = base / "spool"
-        respool(src, spool, SEGMENT_BYTES)
-        dataset = base / "dataset.jsonl"
-        import_spool(spool, dataset)
-        engine = AnalysisEngine(
-            stages=study_stages(), cache=StageCache(base / "artifacts")
-        )
-        state_cache = StageCache(base / "state", kind="state")
-        slices = _spool_slices(spool, dataset)
-        first = engine.run(
-            DatasetSource.from_file(dataset),
-            slices=slices, state_cache=state_cache,
-        )
-        second = engine.run(
-            DatasetSource.from_file(dataset),
-            slices=slices, state_cache=state_cache,
-        )
-        assert first.computed and not first.cached
-        assert second.cached == tuple(
-            stage.name for stage in engine.stages
-        )
-        assert second.segments_folded == 0
-        assert second.segments_cached == 0
-        for name in ARTIFACTS:
-            assert dumps(first[name]) == dumps(second[name]), name

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs import Obs
 from repro.spool.format import encode_frame
+from repro.spool.importer import import_spool
 from repro.spool.quota import (
     EvictionReport,
     SpoolQuotaExceeded,
@@ -102,3 +103,27 @@ class TestStoreQuota:
         ]
         assert replayed == list(range(len(replayed)))
         assert frame > 0
+
+
+class TestImportedEviction:
+    def test_relative_import_evicts_from_another_directory(
+        self, spool_copy, tmp_path, monkeypatch
+    ):
+        # The journal must name its dataset so that a process running
+        # anywhere finds it: read against another directory, a
+        # relative name would make every imported segment look
+        # unimported, and the over-quota append would raise.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        import_spool(spool_copy, "d.jsonl")
+        monkeypatch.chdir(tmp_path)
+        before = {info.segment_id for info in list_segments(spool_copy)}
+        store = SpoolStore.open(
+            spool_copy,
+            quota_bytes=sum(info.size for info in list_segments(spool_copy)),
+        )
+        store.append("crawl00", {"t": "site", "n": 0})
+        store.close()
+        after = {info.segment_id for info in list_segments(spool_copy)}
+        assert before - after

@@ -508,9 +508,9 @@ class TestServeReadonlyZone:
             "SERVE-RO", "repro.serve.service.handle"
         )
 
-    def test_snapshot_builders_are_outside_the_zone(self, tmp_path):
-        # Building a snapshot may warm the stage cache (a write); only
-        # *serving* from one is pinned read-only.
+    def test_snapshot_builders_are_in_the_zone(self, tmp_path):
+        # Building a snapshot writes nothing; only the transcript
+        # writer sits outside the read-only zone.
         root = _tree(tmp_path, {
             **self._SERVE_INITS,
             "repro/serve/snapshot.py": (
@@ -523,7 +523,10 @@ class TestServeReadonlyZone:
             ),
         })
         analysis = analyze_tree(root, root=tmp_path)
-        assert analysis.flow_report.by_rule("SERVE-RO") == []
+        findings = analysis.flow_report.by_rule("SERVE-RO")
+        assert [(d.rule_id, d.trace[0]) for d in findings] == [
+            ("SERVE-RO", "repro.serve.snapshot.build")
+        ]
 
     def test_read_only_dispatch_is_fine(self, tmp_path):
         root = _tree(tmp_path, {
